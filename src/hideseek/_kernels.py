@@ -24,6 +24,10 @@ qualifies; index distance r+1 qualifies only across the wrap seam where
 the thin truncated column eats less than a full cell of distance.
 Without the gap rule, two points within cell_w of each other (wrapped)
 can sit two index steps apart and the scan would miss them.
+
+bucket_csr and pair_scan_csr also work on windows of whole grid columns
+(wrapping mod cols) against the whole grid's neighbor tables, so strip
+mode can run the full-mode scan window by window in bounded memory.
 """
 
 from __future__ import annotations
@@ -179,14 +183,16 @@ def _hyperbola_points_loop(n_mod, m, primes):
     return units, ys
 
 
-def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows):
+def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
     """Counting-sort points into row-major cells; within-cell order by x."""
+    if k is None:
+        k = cols
     npts = xs.size
-    ncells = cols * rows
+    ncells = k * rows
     counts = np.zeros(ncells + 1, dtype=np.int64)
     cids = np.empty(npts, dtype=np.int64)
     for i in range(npts):
-        cid = (ys[i] // cell_h) * cols + xs[i] // cell_w
+        cid = (ys[i] // cell_h) * k + (xs[i] // cell_w - c0) % cols
         cids[i] = cid
         counts[cid + 1] += 1
     starts = np.empty(ncells + 1, dtype=np.int64)
@@ -238,12 +244,14 @@ def _axis_neighbors_loop(ci, ncells, cell, a, radius, out):
 
 
 def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                        cell_w, cell_h, a, dxc, dyc, n, m2):
+                        cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
     """Check every base/shifted pair in wrapped cell neighborhoods.
 
     Returns (u, v, pairs_checked) with (u, v) the lexicographically
     smallest verified split, or (0, 0, pairs) when none verifies.
     """
+    bk = (bstarts.size - 1) // rows
+    sk = (sstarts.size - 1) // rows
     best_u = np.int64(0)
     best_v = np.int64(0)
     pairs = np.int64(0)
@@ -251,17 +259,21 @@ def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     njs = np.empty(2 * dyc + 3, dtype=np.int64)
     for cj in range(rows):
         nny = _axis_neighbors_loop(cj, rows, cell_h, a, dyc, njs)
-        row0 = cj * cols
-        for ci in range(cols):
+        row0 = cj * bk
+        for ci in range(bk):
             cid = row0 + ci
             b0, b1 = bstarts[cid], bstarts[cid + 1]
             if b0 == b1:
                 continue
-            nnx = _axis_neighbors_loop(ci, cols, cell_w, a, dxc, nis)
+            nnx = _axis_neighbors_loop((bc0 + ci) % cols, cols, cell_w, a,
+                                       dxc, nis)
             for oj in range(nny):
-                nrow0 = njs[oj] * cols
+                nrow0 = njs[oj] * sk
                 for oi in range(nnx):
-                    nid = nrow0 + nis[oi]
+                    si = (nis[oi] - sc0) % cols
+                    if si >= sk:
+                        continue
+                    nid = nrow0 + si
                     s0, s1 = sstarts[nid], sstarts[nid + 1]
                     for t in range(b0, b1):
                         x0 = bx[t]
@@ -373,9 +385,10 @@ def _hyperbola_points_np(n_mod, m, primes):
     return units, n_mod * invs % m
 
 
-def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows):
-    ncells = cols * rows
-    cids = (ys // cell_h) * cols + xs // cell_w
+def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
+    k = k or cols
+    ncells = k * rows
+    cids = (ys // cell_h) * k + (xs // cell_w - c0) % cols
     order = np.argsort(cids, kind="stable")
     counts = np.bincount(cids, minlength=ncells)
     starts = np.zeros(ncells + 1, dtype=np.int64)
@@ -423,21 +436,23 @@ def _verified_split(x0, y0, du, dv, a, n, m2):
 
 
 def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                      cell_w, cell_h, a, dxc, dyc, n, m2):
+                      cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
     """Same contract as _pair_scan_csr_loop, by ragged expansion.
 
     Base points are taken in CSR (row-major cell) order, _SCAN_CHUNK
     candidates at a time; each point's non-empty neighbor cells then
     expand into point pairs, again at most _SCAN_CHUNK at a time.
     """
-    bcell = np.repeat(np.arange(cols * rows, dtype=np.int64),
+    bk = (bstarts.size - 1) // rows
+    sk = (sstarts.size - 1) // rows
+    bcell = np.repeat(np.arange(bk * rows, dtype=np.int64),
                       np.diff(bstarts))
     # shifted cell counts and starts on a grid padded by one zero row and
     # column: a -1 table entry, as a flat offset, lands in the padding
-    count = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-    count[:rows, :cols] = np.diff(sstarts).reshape(rows, cols)
+    count = np.zeros((rows + 1, sk + 1), dtype=np.int64)
+    count[:rows, :sk] = np.diff(sstarts).reshape(rows, sk)
     first = np.zeros_like(count)
-    first[:rows, :cols] = sstarts[:-1].reshape(rows, cols)
+    first[:rows, :sk] = sstarts[:-1].reshape(rows, sk)
     count, first = count.ravel(), first.ravel()
     # neighbor cells by (step, cell), -1 where a step adds none; square
     # grids share one table
@@ -448,13 +463,17 @@ def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     else:
         _, ny_tab, keep = _axis_steps(rows, cell_h, a, dyc)
         ny_tab[~keep] = -1
+    # columns of the base window, as columns of the shifted window
+    nx_tab = np.take(nx_tab, (bc0 + np.arange(bk)) % cols, axis=1)
+    nx_win = (nx_tab - sc0) % cols
+    nx_win[(nx_tab < 0) | (nx_win >= sk)] = -1
     step = max(1, _SCAN_CHUNK // (nx_tab.shape[0] * ny_tab.shape[0]))
     pairs = 0
     best = None
     for lo in range(0, bcell.size, step):
         cid = bcell[lo:lo + step]
-        nj = np.take(ny_tab, cid // cols, axis=1) * (cols + 1)
-        ni = np.take(nx_tab, cid % cols, axis=1)
+        nj = np.take(ny_tab, cid // bk, axis=1) * (sk + 1)
+        ni = np.take(nx_win, cid % bk, axis=1)
         cell = (nj[:, None, :] + ni[None, :, :]).ravel()
         seg = count[cell]
         k = np.flatnonzero(seg > 0)
@@ -536,27 +555,32 @@ def hyperbola_points(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _hyperbola_points_np(n % m, m, primes)
 
 
-def bucket_csr(xs, ys, cell_w, cell_h, cols, rows):
-    """Sort points into row-major cells: (xs, ys, starts) CSR arrays."""
+def bucket_csr(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
+    """Sort points into row-major cells: (xs, ys, starts) CSR arrays, over
+    the k grid columns (default all cols) from column c0, mod cols."""
     xs = np.ascontiguousarray(xs, dtype=np.int64)
     ys = np.ascontiguousarray(ys, dtype=np.int64)
     if ACTIVE_BACKEND == "numba":
-        return _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows)
-    return _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows)
+        return _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k)
+    return _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k)
 
 
 def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                  cell_w, cell_h, a, dxc, dyc, n, m2):
-    """Scan neighborhood pairs of bucketed point sets for a split of n."""
+                  cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
+    """Scan neighborhood pairs of bucketed point sets for a split of n;
+    the sets may be bucketed over column windows from bc0 and sc0 (see
+    bucket_csr), and base points meet the neighbor cells in the shifted
+    window."""
     if ACTIVE_BACKEND == "numba":
         u, v, pairs = _pair_scan_csr_loop(
             bx, by, bstarts, sx, sy, sstarts, cols, rows,
             np.int64(cell_w), np.int64(cell_h), np.int64(a),
-            np.int64(dxc), np.int64(dyc), np.int64(n), np.int64(m2))
+            np.int64(dxc), np.int64(dyc), np.int64(n), np.int64(m2),
+            np.int64(bc0), np.int64(sc0))
         return int(u), int(v), int(pairs)
     u, v, pairs = _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts,
                                     cols, rows, cell_w, cell_h, a,
-                                    dxc, dyc, n, m2)
+                                    dxc, dyc, n, m2, bc0, sc0)
     return int(u), int(v), int(pairs)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from math import isqrt
@@ -45,23 +44,6 @@ from .solutions import CommonFactor, Rect, count_in_rect, solve_all
 
 BENCH_COLUMNS = ["N", "method", "a", "w", "h", "points_enumerated",
                  "pairs_checked", "micros", "u", "v"]
-
-
-def _set_threads(n: int) -> None:
-    """Worker-count plumbing; current kernels are serial, so this only
-    configures numba's pool when present and never changes results."""
-    if n <= 0:
-        return
-    try:
-        import warnings
-
-        import numba
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except Exception:
-        pass
 
 
 def _emit_json(obj: dict) -> None:
@@ -334,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hideseek",
         description="Factor integers via modular-hyperbola point matching "
                     "and analyze the solution distribution.")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("HIDESEEK_THREADS", "0")),
-                    help="worker count (0 = auto); results never depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_format(p):
@@ -353,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     meth.add_argument("--trial-only", action="store_true",
                       help="trial division up to sqrt(N) only")
     p.add_argument("--strip", action="store_true",
-                   help="low-memory strip enumeration")
+                   help="scan column windows of about 2**18 points "
+                        "per set, bounding memory")
     add_format(p)
     p.set_defaults(fn=cmd_factor)
 
@@ -418,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         return args.fn(args)
     except InvariantError as e:

@@ -11,9 +11,9 @@ split in O(a^(1+eps)) work.
 Two variants: the balanced factorer assumes U < V < 2U and uses square
 cells of side ceil(sqrt(a)) with a = ceil_cbrt(2N); the general variant
 uses w-by-h rectangles, doubling w until the planted pair fits.  Strip
-mode enumerates one vertical strip of cells at a time, holding only a
-few strips of the shifted set in memory, and returns the same answer as
-the full scan.
+mode runs the same scan over windows of whole grid columns, holding
+about _kernels._SCAN_CHUNK points of each set at once instead of all
+phi(a) + phi(a-1), and returns the same answer and pair count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .arith import ceil_cbrt, euler_phi
+from .arith import ceil_cbrt
 from .solutions import HyperbolaPoint, _strip_arrays
 
 __all__ = [
@@ -90,7 +90,8 @@ class CandidateFrame:
 
 @dataclass
 class FactorStats:
-    """Work counters filled in by the hide-seek operations."""
+    """Work counters filled in by the hide-seek operations; points and
+    pairs sum over the widths tried and the solution arrays enumerated."""
 
     method: str = ""
     a: int = 0
@@ -197,6 +198,9 @@ def hide_seek_general(N: int, strip_mode: bool = False,
     and heights h = max(1, a // w); once w exceeds u1 the planted pair is
     at most one cell apart horizontally and two vertically, hence the
     (1, 2) scan radii.  Returns None only after the final width.
+    It needs a split with U > N / a**2, so that V < a**2 has two base-a
+    digits; `factor` trial-divides up to ceil_cbrt(N) first, which removes
+    every N without one.
     """
     if N < 2:
         return None
@@ -220,7 +224,7 @@ def hide_seek_general(N: int, strip_mode: bool = False,
         else:
             u, v, pts, pairs = _kernels.hyperbola_scan(N, a, a - 1, w, h, 1, 2)
             if stats is not None:
-                stats.points = pts
+                stats.points += pts
                 stats.pairs += pairs
             got = Factorization(N, u, v) if u else None
         if got is not None:
@@ -231,74 +235,36 @@ def hide_seek_general(N: int, strip_mode: bool = False,
 
 def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int,
                 stats: FactorStats | None) -> Factorization | None:
-    """One vertical strip of cells at a time.
-
-    Strip s is paired against the gap-rule neighbor strips of the shifted
-    set (s-1, s, s+1, plus one extra across the wrap seam when the last
-    strip is truncated thin); a small cache keeps at most four shifted
-    strips alive, so memory stays proportional to the strip width.
-    """
+    """The full-mode pair scan over windows of k whole grid columns: base
+    columns [c0, c0+k) meet shifted columns [c0-2, c0+k+2) mod cols (or
+    all), which hold every neighbor at radius 1 under the gap rule.  With
+    at most cell_w points of a set per column, k = _SCAN_CHUNK // cell_w
+    holds about _SCAN_CHUNK points of each set at once."""
     m2 = a - 1
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
-    col_nbrs, _ = _kernels.axis_neighbor_table(cols, cell_w, a, 1)
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def shifted_strip(c: int) -> tuple[np.ndarray, np.ndarray]:
-        got = cache.get(c)
-        if got is None:
-            x0 = c * cell_w
-            if x0 >= m2:
-                e = np.empty(0, dtype=np.int64)
-                got = (e, e)
-            else:
-                got = _strip_arrays(N, m2, x0, cell_w)
-            if len(cache) >= 4:
-                cache.pop(next(iter(cache)))
-            cache[c] = got
-        return got
-
-    def column_csr(pts, col_index, k):
-        xs, ys = pts
-        cid = (ys // cell_h) * k + col_index
-        order = np.argsort(cid, kind="stable")
-        starts = np.zeros(k * rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cid, minlength=k * rows), out=starts[1:])
-        return xs[order], ys[order], starts
-
+    k = max(1, _kernels._SCAN_CHUNK // cell_w)
     best: tuple[int, int] | None = None
-    total_pairs = 0
-    for s in range(cols):
-        bxs, bys = _strip_arrays(N, a, s * cell_w, cell_w)
-        if bxs.size == 0:
-            continue
-        ids = [int(c) for c in col_nbrs[s] if c >= 0]
-        k = len(ids)
-        pos = ids.index(s)
-        bx, by, bstarts = column_csr((bxs, bys), pos, k)
-        sxs_l, sys_l, scid_l = [], [], []
-        for t, c in enumerate(ids):
-            sxs_c, sys_c = shifted_strip(c)
-            sxs_l.append(sxs_c)
-            sys_l.append(sys_c)
-            scid_l.append((sys_c // cell_h) * k + t)
-        sxs = np.concatenate(sxs_l)
-        sys = np.concatenate(sys_l)
-        scid = np.concatenate(scid_l).astype(np.int64)
-        sorder = np.argsort(scid, kind="stable")
-        sstarts = np.zeros(k * rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(scid, minlength=k * rows), out=sstarts[1:])
-        # dxc=k makes the kernel take every subgrid column once; the real
-        # horizontal neighbor filtering already happened in `ids`.
-        u, v, pairs = _kernels.pair_scan_csr(
-            bx, by, bstarts, sxs[sorder], sys[sorder], sstarts,
-            k, rows, cell_w, cell_h, a, k, dyc, N, m2)
-        total_pairs += pairs
+    points = pairs = 0
+    for c0 in range(0, cols, k):
+        bk = min(k, cols - c0)
+        s0, sk = ((c0 - 2) % cols, bk + 4) if bk + 4 < cols else (0, cols)
+        base = _strip_arrays(N, a, c0 * cell_w, bk * cell_w)
+        shifted = np.concatenate(
+            [_strip_arrays(N, m2, lo * cell_w, (hi - lo) * cell_w)
+             for lo, hi in ((s0, min(s0 + sk, cols)), (0, s0 + sk - cols))
+             if lo < hi], axis=1)
+        points += base[0].size + shifted[0].size
+        u, v, got = _kernels.pair_scan_csr(
+            *_kernels.bucket_csr(*base, cell_w, cell_h, cols, rows, c0, bk),
+            *_kernels.bucket_csr(*shifted, cell_w, cell_h, cols, rows, s0, sk),
+            cols, rows, cell_w, cell_h, a, 1, dyc, N, m2, c0, s0)
+        pairs += got
         if u and (best is None or (u, v) < best):
             best = (u, v)
     if stats is not None:
-        stats.points = euler_phi(a) + euler_phi(m2)
-        stats.pairs += total_pairs
+        stats.points += points
+        stats.pairs += pairs
     if best is None:
         return None
     return Factorization(N, best[0], best[1])

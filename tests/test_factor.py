@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 
-from hideseek.arith import ceil_cbrt
+from hideseek.arith import ceil_cbrt, euler_phi
 from hideseek.factor import (
     CandidateFrame,
     Factorization,
@@ -98,6 +98,12 @@ def test_hide_seek_balanced_gcd_shortcut():
 
 def test_hide_seek_general_examples():
     assert hide_seek_general(77) == Factorization(77, 7, 11)
+    # the smaller factor is below N / a**2, so the larger one has no
+    # two-digit base-a form; factor() trial-divides first and splits it
+    n = 10477 * 110641417
+    assert 10477 < n / ceil_cbrt(n) ** 2
+    assert hide_seek_general(n) is None
+    assert factor(n) == Factorization(n, 10477, 110641417)
 
 
 def test_hide_seek_general_gcd_shortcut_path():
@@ -123,22 +129,84 @@ def test_hide_seek_general_random_semiprimes():
         assert got == Factorization(n, p, q), (n, p, q, got)
 
 
+def _strip_and_full(fn, n):
+    s_full, s_strip = FactorStats(), FactorStats()
+    f_full = fn(n, stats=s_full)
+    f_strip = fn(n, strip_mode=True, stats=s_strip)
+    return (f_full, s_full), (f_strip, s_strip)
+
+
 def test_strip_mode_equals_full_mode():
+    # at these sizes every strip scan is a single window, so strip mode
+    # enumerates exactly the points full mode does
     rng = random.Random(16)
     for _ in range(60):
         n, p, q = balanced_semiprime(rng, 10 ** 9)
-        s_full, s_strip = FactorStats(), FactorStats()
-        f_full = hide_seek_balanced(n, stats=s_full)
-        f_strip = hide_seek_balanced(n, strip_mode=True, stats=s_strip)
+        (f_full, s_full), (f_strip, s_strip) = _strip_and_full(
+            hide_seek_balanced, n)
         assert f_full == f_strip
-        assert s_full.pairs == s_strip.pairs
+        assert (s_full.points, s_full.pairs) == (s_strip.points, s_strip.pairs)
     done = 0
     while done < 30:
         n, p, q = arbitrary_semiprime(rng, 10 ** 9)
         if p <= ceil_cbrt(n):
             continue
         done += 1
-        assert hide_seek_general(n) == hide_seek_general(n, strip_mode=True)
+        (f_full, s_full), (f_strip, s_strip) = _strip_and_full(
+            hide_seek_general, n)
+        assert f_full == f_strip
+        assert (s_full.points, s_full.pairs) == (s_strip.points, s_strip.pairs)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_strip_mode_windows_equal_full_mode(monkeypatch, chunk):
+    """With a small _SCAN_CHUNK, strip mode runs many column windows, the
+    first and last wrapping across the seam; split and pairs stay those
+    of full mode."""
+    from hideseek import _kernels
+
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
+    rng = random.Random(100 + chunk)
+    for _ in range(4):
+        n, p, q = balanced_semiprime(rng, 10 ** 8)
+        (f_full, s_full), (f_strip, s_strip) = _strip_and_full(
+            hide_seek_balanced, n)
+        assert f_full == f_strip == Factorization(n, p, q)
+        assert s_full.pairs == s_strip.pairs
+    done = 0
+    while done < 2:
+        n, p, q = arbitrary_semiprime(rng, 10 ** 7)
+        if p <= ceil_cbrt(n):
+            continue
+        done += 1
+        (f_full, s_full), (f_strip, s_strip) = _strip_and_full(
+            hide_seek_general, n)
+        assert f_full == f_strip == Factorization(n, p, q)
+        assert s_full.pairs == s_strip.pairs
+
+
+def test_strip_mode_memory_budget(monkeypatch):
+    """Strip mode holds one column window at a time, so with a small
+    _SCAN_CHUNK its peak memory stays well below full mode's."""
+    import tracemalloc
+
+    from hideseek import _kernels
+
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", 1 << 10)
+    n = 2000003 * 3000017
+
+    def peak(strip_mode):
+        tracemalloc.start()
+        try:
+            got = hide_seek_balanced(n, strip_mode=strip_mode)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, peak_full = peak(False)
+    strip, peak_strip = peak(True)
+    assert full == strip == Factorization(n, 2000003, 3000017)
+    assert 4 * peak_strip < peak_full
 
 
 def test_trial_division_examples():
@@ -193,7 +261,10 @@ def test_factor_stats_populated():
     assert got == Factorization(n, 1000003, 1500007)
     assert st.method == "general"
     assert st.a == ceil_cbrt(n)
-    assert st.points > 0 and st.pairs > 0
+    assert st.pairs > 0
+    # each width w = 2, 4, ..., st.w enumerates both solution sets
+    widths = st.w.bit_length() - 1
+    assert st.points == widths * (euler_phi(st.a) + euler_phi(st.a - 1))
 
 
 def test_kernel_matches_composed_scan():

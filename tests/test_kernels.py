@@ -94,6 +94,46 @@ def test_hyperbola_scan_backends_agree():
             both(n, a, w, max(1, a // w), 1, 2)
 
 
+def test_windowed_scan_backends_agree():
+    """bucket_csr and pair_scan_csr over column windows, wrapping ones
+    included: the numpy kernels equal the loop kernels."""
+    rng = random.Random(48)
+    from hideseek.arith import ceil_cbrt
+    from util import arbitrary_semiprime
+
+    def window(xs, ys, w, cols):
+        c0 = rng.randrange(cols)
+        k = rng.randrange(1, cols + 1)
+        inside = (xs // w - c0) % cols < k
+        return xs[inside], ys[inside], c0, k
+
+    for _ in range(40):
+        n, p, q = arbitrary_semiprime(rng, 10 ** 7)
+        a = ceil_cbrt(n)
+        w = rng.randrange(1, a + 1)
+        h = max(1, a // w)
+        cols, rows = -(-a // w), -(-a // h)
+        dxc, dyc = rng.choice(((1, 1), (1, 2)))
+        bx, by, bc0, bk = window(*K._hyperbola_points_np(
+            n % a, a, K._distinct_primes(a)), w, cols)
+        sx, sy, sc0, sk = window(*K._hyperbola_points_np(
+            n % (a - 1), a - 1, K._distinct_primes(a - 1)), w, cols)
+        base = K._bucket_csr_np(bx, by, w, h, cols, rows, bc0, bk)
+        shifted = K._bucket_csr_np(sx, sy, w, h, cols, rows, sc0, sk)
+        for got, want in ((base, K._bucket_csr_loop(bx, by, w, h, cols, rows,
+                                                     bc0, bk)),
+                          (shifted, K._bucket_csr_loop(sx, sy, w, h, cols,
+                                                       rows, sc0, sk))):
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+        args = (*base, *shifted, cols, rows, w, h, a, dxc, dyc, n, a - 1,
+                bc0, sc0)
+        r1 = K._pair_scan_csr_loop(*args)
+        r2 = K._pair_scan_csr_np(*args)
+        assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2), (
+            n, a, w, bc0, bk, sc0, sk)
+
+
 def test_pair_scan_chunk_budget(monkeypatch):
     """Chunking changes neither the split nor the pair count, and the
     numpy scan's peak memory follows the chunk budget, not the pairs."""
@@ -147,7 +187,8 @@ def test_axis_neighbor_table_against_brute_force():
                 best = d if best is None else min(best, d)
         return best
 
-    # full grids, then the strip scan's k-column subgrids (radius = k)
+    # full grids, then grids of k <= 4 cells scanned at radius k, where
+    # steps reach every cell and some twice
     shapes = []
     for _ in range(40):
         a = rng.randrange(4, 40)
