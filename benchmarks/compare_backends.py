@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the numba kernels against the pure-numpy fallbacks.
 
-Both implementations live in hideseek._kernels regardless of which one
-the HIDESEEK_BACKEND flag selects, so a single process can benchmark the
-two side by side.  Covers the hot paths: batch unit inversion, solution
-enumeration, and the fused factor scan.
+Both implementations of each doubled kernel live in hideseek._kernels
+regardless of which one the HIDESEEK_BACKEND flag selects, so a single
+process can benchmark the two side by side: batch inversion over the
+units of m, and bucketing and the pair scan of a balanced factor scan.
 
 Usage: python benchmarks/compare_backends.py [--repeat K]
 """
@@ -14,8 +14,6 @@ import random
 import statistics
 import time
 from math import isqrt
-
-import numpy as np
 
 from hideseek import _kernels as K
 from hideseek.arith import ceil_cbrt
@@ -38,13 +36,13 @@ def rand_prime(rng, lo, hi):
             return c
 
 
-def bench_inverse_table(repeat):
+def bench_inverses(repeat):
     rows = []
     for m in (10_000, 100_000, 1_000_000):
-        primes = K._distinct_primes(m)
-        t_nb = timeit(lambda: K._unit_inverse_table_loop(m, primes), repeat)
-        t_np = timeit(lambda: K._unit_inverse_table_np(m, primes), repeat)
-        rows.append((f"unit_inverse_table m={m:>9,}", t_nb, t_np))
+        units, _ = K.unit_inverse_table(m)
+        t_nb = timeit(lambda: K._inverses_for_loop(units, m), repeat)
+        t_np = timeit(lambda: K._inverses_for_np(units, m), repeat)
+        rows.append((f"inverses_for units mod {m:>9,}", t_nb, t_np))
     return rows
 
 
@@ -57,15 +55,21 @@ def bench_factor_scan(repeat):
         n = p * q
         a = ceil_cbrt(2 * n)
         b = isqrt(a - 1) + 1
-        pa = K._distinct_primes(a)
-        pm = K._distinct_primes(a - 1)
-        args_nb = (np.int64(n), np.int64(a), np.int64(a - 1), pa, pm,
-                   np.int64(b), np.int64(b), np.int64(1), np.int64(1))
-        t_nb = timeit(lambda: K._hyperbola_scan_loop(*args_nb), repeat)
-        t_np = timeit(
-            lambda: K._hyperbola_scan_np(n, a, a - 1, pa, pm, b, b, 1, 1),
-            repeat)
-        rows.append((f"hyperbola_scan N~1e{len(str(target)) - 1}", t_nb, t_np))
+        cols = -(-a // b)
+        grid = (b, b, cols, cols, 0, cols)
+        bx, by = K.hyperbola_points(n, a)
+        sx, sy = K.hyperbola_points(n, a - 1)
+        tag = f"N~1e{len(str(target)) - 1}"
+        times = []
+        for bucket, scan in ((K._bucket_csr_loop, K._pair_scan_csr_loop),
+                             (K._bucket_csr_np, K._pair_scan_csr_np)):
+            args = (*bucket(bx, by, *grid), *bucket(sx, sy, *grid),
+                    cols, cols, b, b, a, 1, 1, n, a - 1, 0, 0)
+            times.append((timeit(lambda: bucket(bx, by, *grid), repeat),
+                          timeit(lambda: scan(*args), repeat)))
+        (bucket_nb, scan_nb), (bucket_np, scan_np) = times
+        rows.append((f"bucket_csr {tag}", bucket_nb, bucket_np))
+        rows.append((f"pair_scan_csr {tag}", scan_nb, scan_np))
     return rows
 
 
@@ -80,7 +84,7 @@ def main():
     print("warming up (JIT compile)...")
     K.warmup()
 
-    rows = bench_inverse_table(args.repeat) + bench_factor_scan(args.repeat)
+    rows = bench_inverses(args.repeat) + bench_factor_scan(args.repeat)
     print(f"\n{'kernel':<34} {'numba':>12} {'numpy':>12} {'speedup':>9}")
     print("-" * 69)
     for name, t_nb, t_np in rows:

@@ -7,9 +7,13 @@ variable, read once at import:
     numba             require numba, fail loudly if missing
     numpy              force the vectorized numpy path
 
-Every kernel exists in both flavours; the module-level names dispatch to
-the active backend.  `benchmarks/compare_backends.py` times both against
-each other.
+Only the hot loops exist twice: batch inversion, bucketing and the pair
+scan, as plain loops that numba compiles and as numpy code.  The loop
+versions are also the reference the tests hold the numpy ones to.  The
+active backend's three kernels are bound once at import (_inverses,
+_bucket, _pair_scan); everything else, the one solution enumerator
+_points included, is shared numpy code.  `benchmarks/compare_backends.py`
+times the twins against each other.
 
 All kernels work in int64.  Callers guarantee N < 2**63 and modulus
 m < 2**31, so every intermediate product here fits in int64 (products of
@@ -36,6 +40,8 @@ import os
 
 import numpy as np
 
+from .arith import prime_factors
+
 _FLAG = os.environ.get("HIDESEEK_BACKEND", "auto").strip().lower()
 if _FLAG not in ("auto", "numba", "numpy"):
     raise RuntimeError(f"HIDESEEK_BACKEND must be auto|numba|numpy, got {_FLAG!r}")
@@ -53,21 +59,6 @@ else:
     HAVE_NUMBA = False
 
 ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def _distinct_primes(m: int) -> np.ndarray:
-    """Distinct prime divisors of m, for sieving out non-units."""
-    ps = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            ps.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        ps.append(m)
-    return np.asarray(ps, dtype=np.int64)
 
 
 def _axis_steps(ncells: int, cell: int, a: int, radius: int
@@ -154,39 +145,8 @@ def _inverses_for_loop(xs, m):
     return invs
 
 
-def _unit_inverse_table_loop(m, primes):
-    mask = np.ones(m, dtype=np.bool_)
-    mask[0] = False
-    for p in primes:
-        for j in range(0, m, p):
-            mask[j] = False
-    k = 0
-    for x in range(m):
-        if mask[x]:
-            k += 1
-    units = np.empty(k, dtype=np.int64)
-    i = 0
-    for x in range(m):
-        if mask[x]:
-            units[i] = x
-            i += 1
-    invs = _inverses_for_loop(units, m)
-    return units, invs
-
-
-def _hyperbola_points_loop(n_mod, m, primes):
-    """All (x, N*inv(x) mod m) with gcd(x, m) == 1, x ascending."""
-    units, invs = _unit_inverse_table_loop(m, primes)
-    ys = np.empty(units.size, dtype=np.int64)
-    for i in range(units.size):
-        ys[i] = n_mod * invs[i] % m
-    return units, ys
-
-
-def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
+def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     """Counting-sort points into row-major cells; within-cell order by x."""
-    if k is None:
-        k = cols
     npts = xs.size
     ncells = k * rows
     counts = np.zeros(ncells + 1, dtype=np.int64)
@@ -244,7 +204,7 @@ def _axis_neighbors_loop(ci, ncells, cell, a, radius, out):
 
 
 def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                        cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
+                        cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0):
     """Check every base/shifted pair in wrapped cell neighborhoods.
 
     Returns (u, v, pairs_checked) with (u, v) the lexicographically
@@ -302,47 +262,9 @@ def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     return best_u, best_v, pairs
 
 
-def _hyperbola_scan_loop(n, a, m2, primes_a, primes_m2,
-                         cell_w, cell_h, dxc, dyc):
-    """Fused factor scan: enumerate both solution sets, bucket, pair-scan.
-
-    One call per (N, cell shape); keeps the per-call Python overhead off
-    the timing-sensitive path.
-    """
-    cols = (a + cell_w - 1) // cell_w
-    rows = (a + cell_h - 1) // cell_h
-    bx0, by0 = _hyperbola_points_loop(n % a, a, primes_a)
-    sx0, sy0 = _hyperbola_points_loop(n % m2, m2, primes_m2)
-    bx, by, bstarts = _bucket_csr_loop(bx0, by0, cell_w, cell_h, cols, rows)
-    sx, sy, sstarts = _bucket_csr_loop(sx0, sy0, cell_w, cell_h, cols, rows)
-    u, v, pairs = _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts,
-                                      cols, rows, cell_w, cell_h, a,
-                                      dxc, dyc, n, m2)
-    return u, v, bx0.size + sx0.size, pairs
-
-
-if HAVE_NUMBA:
-    _inv_mod_i64 = njit(cache=True)(_inv_mod_i64)
-    _inverses_for_loop = njit(cache=True)(_inverses_for_loop)
-    _unit_inverse_table_loop = njit(cache=True)(_unit_inverse_table_loop)
-    _hyperbola_points_loop = njit(cache=True)(_hyperbola_points_loop)
-    _bucket_csr_loop = njit(cache=True)(_bucket_csr_loop)
-    _axis_neighbors_loop = njit(cache=True)(_axis_neighbors_loop)
-    _pair_scan_csr_loop = njit(cache=True)(_pair_scan_csr_loop)
-    _hyperbola_scan_loop = njit(cache=True)(_hyperbola_scan_loop)
-
-
 # ---------------------------------------------------------------------------
 # pure-numpy implementations
 # ---------------------------------------------------------------------------
-
-
-def _unit_mask_np(m: int, primes: np.ndarray) -> np.ndarray:
-    mask = np.ones(m, dtype=bool)
-    mask[0] = False
-    for p in primes:
-        mask[::p] = False
-    return mask
 
 
 def _modprod_scan(xs: np.ndarray, m: int) -> np.ndarray:
@@ -374,19 +296,7 @@ def _inverses_for_np(xs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _unit_inverse_table_np(m, primes):
-    mask = _unit_mask_np(m, primes)
-    units = np.nonzero(mask)[0].astype(np.int64)
-    return units, _inverses_for_np(units, m)
-
-
-def _hyperbola_points_np(n_mod, m, primes):
-    units, invs = _unit_inverse_table_np(m, primes)
-    return units, n_mod * invs % m
-
-
-def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
-    k = k or cols
+def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     ncells = k * rows
     cids = (ys // cell_h) * k + (xs // cell_w - c0) % cols
     order = np.argsort(cids, kind="stable")
@@ -436,7 +346,7 @@ def _verified_split(x0, y0, du, dv, a, n, m2):
 
 
 def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                      cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
+                      cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0):
     """Same contract as _pair_scan_csr_loop, by ragged expansion.
 
     Base points are taken in CSR (row-major cell) order, _SCAN_CHUNK
@@ -502,22 +412,23 @@ def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     return best[0], best[1], pairs
 
 
-def _hyperbola_scan_np(n, a, m2, primes_a, primes_m2,
-                       cell_w, cell_h, dxc, dyc):
-    cols = (a + cell_w - 1) // cell_w
-    rows = (a + cell_h - 1) // cell_h
-    bx0, by0 = _hyperbola_points_np(n % a, a, primes_a)
-    sx0, sy0 = _hyperbola_points_np(n % m2, m2, primes_m2)
-    bx, by, bstarts = _bucket_csr_np(bx0, by0, cell_w, cell_h, cols, rows)
-    sx, sy, sstarts = _bucket_csr_np(sx0, sy0, cell_w, cell_h, cols, rows)
-    u, v, pairs = _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts,
-                                    cols, rows, cell_w, cell_h, a,
-                                    dxc, dyc, n, m2)
-    return u, v, bx0.size + sx0.size, pairs
+# ---------------------------------------------------------------------------
+# the active backend, bound once
+# ---------------------------------------------------------------------------
+
+if HAVE_NUMBA:
+    _inv_mod_i64 = njit(cache=True)(_inv_mod_i64)
+    _axis_neighbors_loop = njit(cache=True)(_axis_neighbors_loop)
+    _inverses = _inverses_for_loop = njit(cache=True)(_inverses_for_loop)
+    _bucket = _bucket_csr_loop = njit(cache=True)(_bucket_csr_loop)
+    _pair_scan = _pair_scan_csr_loop = njit(cache=True)(_pair_scan_csr_loop)
+else:
+    _inverses, _bucket, _pair_scan = (_inverses_for_np, _bucket_csr_np,
+                                      _pair_scan_csr_np)
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# entry points
 # ---------------------------------------------------------------------------
 
 _MAX_MOD = 1 << 31
@@ -528,31 +439,35 @@ def _check_mod(m: int) -> None:
         raise ValueError(f"modulus out of kernel range [2, 2**31): {m}")
 
 
+def _points(n: int, m: int, x0: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the solutions of x*y == n (mod m) with x in [x0, hi),
+    x ascending: a unit mask over the range, then one batch inversion."""
+    xs = np.arange(x0, hi, dtype=np.int64)
+    mask = np.ones(xs.size, dtype=bool)
+    for p, _ in prime_factors(m):
+        mask[(-x0) % p::p] = False
+    xs = xs[mask]
+    return xs, n % m * _inverses(xs, m) % m
+
+
 def unit_inverse_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, inverses) arrays for the units mod m, x ascending."""
     _check_mod(m)
-    primes = _distinct_primes(m)
-    if ACTIVE_BACKEND == "numba":
-        return _unit_inverse_table_loop(m, primes)
-    return _unit_inverse_table_np(m, primes)
+    return _points(1, m, 0, m)
 
 
 def inverses_for(xs: np.ndarray, m: int) -> np.ndarray:
     """Inverses mod m of an arbitrary array of units (prefix products)."""
     _check_mod(m)
-    xs = np.ascontiguousarray(xs, dtype=np.int64)
-    if ACTIVE_BACKEND == "numba":
-        return _inverses_for_loop(xs, m)
-    return _inverses_for_np(xs, m)
+    return _inverses(np.ascontiguousarray(xs, dtype=np.int64), m)
 
 
-def hyperbola_points(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (xs, ys) of all solutions to x*y == N (mod m), x ascending."""
+def hyperbola_points(n: int, m: int, x0: int = 0, width: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (xs, ys) of the solutions to x*y == n (mod m) with x in
+    [x0, x0 + width) (default [x0, m)), clipped to m, x ascending."""
     _check_mod(m)
-    primes = _distinct_primes(m)
-    if ACTIVE_BACKEND == "numba":
-        return _hyperbola_points_loop(np.int64(n % m), m, primes)
-    return _hyperbola_points_np(n % m, m, primes)
+    return _points(n, m, x0, m if width is None else min(x0 + width, m))
 
 
 def bucket_csr(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
@@ -560,9 +475,8 @@ def bucket_csr(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
     the k grid columns (default all cols) from column c0, mod cols."""
     xs = np.ascontiguousarray(xs, dtype=np.int64)
     ys = np.ascontiguousarray(ys, dtype=np.int64)
-    if ACTIVE_BACKEND == "numba":
-        return _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k)
-    return _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k)
+    return _bucket(xs, ys, cell_w, cell_h, cols, rows, c0,
+                   cols if k is None else k)
 
 
 def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
@@ -571,43 +485,32 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     the sets may be bucketed over column windows from bc0 and sc0 (see
     bucket_csr), and base points meet the neighbor cells in the shifted
     window."""
-    if ACTIVE_BACKEND == "numba":
-        u, v, pairs = _pair_scan_csr_loop(
-            bx, by, bstarts, sx, sy, sstarts, cols, rows,
-            np.int64(cell_w), np.int64(cell_h), np.int64(a),
-            np.int64(dxc), np.int64(dyc), np.int64(n), np.int64(m2),
-            np.int64(bc0), np.int64(sc0))
-        return int(u), int(v), int(pairs)
-    u, v, pairs = _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts,
-                                    cols, rows, cell_w, cell_h, a,
-                                    dxc, dyc, n, m2, bc0, sc0)
+    u, v, pairs = _pair_scan(bx, by, bstarts, sx, sy, sstarts, cols, rows,
+                             cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0)
     return int(u), int(v), int(pairs)
 
 
 def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
                    dxc: int, dyc: int) -> tuple[int, int, int, int]:
-    """Fused enumerate+bucket+scan; returns (u, v, points, pairs)."""
+    """Enumerate both solution sets over the whole grid, bucket them and
+    pair-scan; returns (u, v, points, pairs).  Goes through the private
+    kernels only, so that a caller wrapping the public ones sees this
+    call once."""
     _check_mod(a)
     _check_mod(m2)
     if not 0 < n < 1 << 63:
         raise ValueError("N out of kernel range")
-    pa = _distinct_primes(a)
-    pm = _distinct_primes(m2)
-    if ACTIVE_BACKEND == "numba":
-        u, v, pts, pairs = _hyperbola_scan_loop(
-            np.int64(n), np.int64(a), np.int64(m2), pa, pm,
-            np.int64(cell_w), np.int64(cell_h), np.int64(dxc), np.int64(dyc))
-    else:
-        u, v, pts, pairs = _hyperbola_scan_np(n, a, m2, pa, pm,
-                                              cell_w, cell_h, dxc, dyc)
-    return int(u), int(v), int(pts), int(pairs)
+    cols = -(-a // cell_w)
+    rows = -(-a // cell_h)
+    bx, by = _points(n, a, 0, a)
+    sx, sy = _points(n, m2, 0, m2)
+    u, v, pairs = _pair_scan(
+        *_bucket(bx, by, cell_w, cell_h, cols, rows, 0, cols),
+        *_bucket(sx, sy, cell_w, cell_h, cols, rows, 0, cols),
+        cols, rows, cell_w, cell_h, a, dxc, dyc, n, m2, 0, 0)
+    return int(u), int(v), bx.size + sx.size, int(pairs)
 
 
 def warmup() -> None:
     """Force JIT compilation of all kernels (no-op on the numpy backend)."""
     hyperbola_scan(77, 6, 5, 3, 3, 1, 1)
-    unit_inverse_table(10)
-    inverses_for(np.array([1, 3, 7, 9], dtype=np.int64), 10)
-    xs, ys = hyperbola_points(1, 5)
-    bx, by, starts = bucket_csr(xs, ys, 3, 3, 2, 2)
-    pair_scan_csr(bx, by, starts, bx, by, starts, 2, 2, 3, 3, 5, 1, 1, 77, 4)

@@ -10,8 +10,9 @@ table costs O(m) multiplications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from . import _kernels
 
@@ -19,7 +20,6 @@ __all__ = [
     "gcd",
     "ext_gcd",
     "mod_inv",
-    "InverseTable",
     "batch_inverses",
     "prime_factors",
     "euler_phi",
@@ -53,23 +53,10 @@ def mod_inv(x: int, m: int) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class InverseTable:
-    """All unit inverses mod `modulus`: inv[x]*x == 1 (mod modulus)."""
-
-    modulus: int
-    inv: dict[int, int]
-
-    def __len__(self) -> int:
-        return len(self.inv)
-
-
-def batch_inverses(m: int) -> InverseTable:
-    """Invert every unit mod m in one pass (prefix-product trick)."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    units, invs = _kernels.unit_inverse_table(m)
-    return InverseTable(m, dict(zip(units.tolist(), invs.tolist())))
+def batch_inverses(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert every unit mod m in one pass (prefix-product trick): the
+    arrays (units, inverses), units ascending."""
+    return _kernels.unit_inverse_table(m)
 
 
 def prime_factors(m: int) -> list[tuple[int, int]]:

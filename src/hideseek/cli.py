@@ -5,7 +5,9 @@ only nondeterministic fields are the timing columns.  All randomness
 comes from the SplitMix64 stream in hideseek.rng, seeded from --seed.
 
 Exit codes: 0 success, 1 no factor found where one was claimed, 2 usage
-or parse failure, 3 internal invariant violation.
+or parse failure, 3 internal invariant violation, 4 input outside the
+supported range: N >= 2**63 where the hide-seek kernels are needed (for
+`factor`, a composite that trial division up to N**(1/3) does not split).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .factor import (
     Factorization,
     FactorStats,
     InvariantError,
+    OutOfRangeError,
     Prime,
     Unit,
     factor,
@@ -403,6 +406,9 @@ def main(argv=None) -> int:
     except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
+    except OutOfRangeError as e:
+        print(f"input outside the supported range: {e}", file=sys.stderr)
+        return 4
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

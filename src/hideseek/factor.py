@@ -34,6 +34,7 @@ __all__ = [
     "CandidateFrame",
     "FactorStats",
     "InvariantError",
+    "OutOfRangeError",
     "N_MIN",
     "check_candidate",
     "hide_seek_balanced",
@@ -52,6 +53,10 @@ _KERNEL_LIMIT = 1 << 63
 
 class InvariantError(RuntimeError):
     """An internal soundness or completeness guarantee was violated."""
+
+
+class OutOfRangeError(ValueError):
+    """The input lies outside the range the hide-seek kernels support."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,7 @@ def _ceil_sqrt(a: int) -> int:
 
 def _check_range(N: int) -> None:
     if N >= _KERNEL_LIMIT:
-        raise ValueError("hide-seek kernels require N < 2**63")
+        raise OutOfRangeError("hide-seek kernels require N < 2**63")
 
 
 def hide_seek_balanced(N: int, strip_mode: bool = False,
@@ -327,6 +332,8 @@ def factor(N: int, strip_mode: bool = False,
     Composites are split by trial division up to ceil_cbrt(N) followed by
     the general hide-seek variant; below N_MIN trial division alone is
     used.  Every returned split satisfies u * v == N by construction.
+    Raises OutOfRangeError for a composite N >= 2**63 that trial division
+    does not split, since the hide-seek kernels work in int64.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arith import prime_factors
 
 __all__ = [
     "HyperbolaPoint",
@@ -91,18 +90,7 @@ def solve_all(N: int, m: int) -> SolutionSet | CommonFactor:
 
 def _strip_arrays(N: int, m: int, x0: int, width: int):
     """(xs, ys) of solutions with x in [x0, min(x0+width, m))."""
-    hi = min(x0 + width, m)
-    xs = np.arange(x0, hi, dtype=np.int64)
-    mask = np.ones(xs.size, dtype=bool)
-    for p, _ in prime_factors(m):
-        first = (-x0) % p
-        mask[first::p] = False
-    xs = xs[mask]
-    if xs.size == 0:
-        return xs, xs
-    invs = _kernels.inverses_for(xs, m)
-    ys = (N % m) * invs % m
-    return xs, ys
+    return _kernels.hyperbola_points(N, m, x0, width)
 
 
 def solve_strip(N: int, m: int, x0: int, width: int
@@ -139,6 +127,4 @@ def count_in_rect(N: int, m: int, r: Rect) -> int | CommonFactor:
     if g > 1:
         return CommonFactor(m, g)
     xs, ys = _strip_arrays(N, m, r.x1, r.x2 - r.x1)
-    if xs.size == 0:
-        return 0
     return int(np.count_nonzero((ys >= r.y1) & (ys < r.y2)))

@@ -47,16 +47,17 @@ def test_mod_inv_range_and_identity():
 
 
 def test_batch_inverses_examples():
-    assert batch_inverses(5).inv == {1: 1, 2: 3, 3: 2, 4: 4}
-    assert batch_inverses(6).inv == {1: 1, 5: 5}
-    assert batch_inverses(2).inv == {1: 1}
+    for m, want in ((5, [(1, 1), (2, 3), (3, 2), (4, 4)]),
+                    (6, [(1, 1), (5, 5)]), (2, [(1, 1)])):
+        units, invs = batch_inverses(m)
+        assert list(zip(units.tolist(), invs.tolist())) == want
 
 
 def test_batch_inverses_matches_mod_inv():
     for m in list(range(2, 120)) + [97 * 89, 2 ** 10, 3 * 5 * 7 * 11]:
-        table = batch_inverses(m)
-        assert len(table) == euler_phi(m)
-        for x, xb in table.inv.items():
+        units, invs = batch_inverses(m)
+        assert units.size == invs.size == euler_phi(m)
+        for x, xb in zip(units.tolist(), invs.tolist()):
             assert gcd(x, m) == 1
             assert x * xb % m == 1
             assert xb == mod_inv(x, m)

@@ -64,6 +64,12 @@ def test_parse_failure_exits_two():
     assert e.value.code == 2
 
 
+def test_out_of_range_exits_four(capsys):
+    code, _, err = run_cli(capsys, "factor", 2147496017 * 4294967311)
+    assert code == 4
+    assert "outside the supported range" in err
+
+
 def test_solve_listing(capsys):
     code, out, _ = run_cli(capsys, "solve", "1", "5")
     assert code == 0

@@ -9,6 +9,7 @@ from hideseek.factor import (
     Factorization,
     FactorStats,
     InvariantError,
+    OutOfRangeError,
     Prime,
     Unit,
     check_candidate,
@@ -254,6 +255,18 @@ def test_factor_rejects_nonpositive():
         factor(0)
 
 
+def test_factor_above_kernel_range():
+    """A composite N >= 2**63 with no prime factor up to N**(1/3) is
+    outside the supported range, a distinct error from a bad argument."""
+    n = 2147496017 * 4294967311
+    assert n >= 1 << 63
+    with pytest.raises(OutOfRangeError):
+        factor(n)
+    for variant in (hide_seek_balanced, hide_seek_general):
+        with pytest.raises(OutOfRangeError):
+            variant(n)
+
+
 def test_factor_stats_populated():
     st = FactorStats()
     n = 1000003 * 1500007
@@ -268,7 +281,7 @@ def test_factor_stats_populated():
 
 
 def test_kernel_matches_composed_scan():
-    """The fused kernel finds the same split as the compositional path
+    """The kernel scan finds the same split as the compositional path
     (solve_all + bucket + neighbor_pairs + check_candidate)."""
     from hideseek.grid import bucket, make_grid, neighbor_pairs
     from hideseek.solutions import solve_all

@@ -1,8 +1,8 @@
-"""Cross-checks between the numba and numpy kernel implementations.
+"""Cross-checks between the loop (numba) and numpy kernel implementations.
 
-Both flavours are importable regardless of which backend is active, so
-equivalence is tested in-process; the env-flag selection itself is
-exercised end-to-end in test_cli.py.
+Both flavours of the doubled kernels are importable regardless of which
+backend is active, so equivalence is tested in-process; the env-flag
+selection itself is exercised end-to-end in test_cli.py.
 """
 
 import random
@@ -19,14 +19,38 @@ def test_backend_flag_reported():
 
 
 def test_unit_inverse_table_backends_agree():
+    """The table lists the units ascending, and both inversion kernels
+    give its inverses on the whole unit set."""
     rng = random.Random(41)
     for m in [2, 3, 4, 12, 97, 720] + [rng.randrange(2, 50000) for _ in range(20)]:
-        primes = K._distinct_primes(m)
-        u1, i1 = K._unit_inverse_table_loop(m, primes)
-        u2, i2 = K._unit_inverse_table_np(m, primes)
-        assert np.array_equal(u1, u2)
-        assert np.array_equal(i1, i2)
-        assert (u1 * i1 % m == 1).all()
+        units, invs = K.unit_inverse_table(m)
+        assert units.tolist() == [x for x in range(m) if gcd(x, m) == 1]
+        assert np.array_equal(K._inverses_for_loop(units, m), invs)
+        assert np.array_equal(K._inverses_for_np(units, m), invs)
+        assert (units * invs % m == 1).all()
+
+
+def test_hyperbola_points_ranges_against_pow():
+    """Any x range, widths past m included, against a pow(x, -1, m)
+    recount, on prime, composite and power-of-two moduli."""
+    rng = random.Random(49)
+
+    def recount(n, m, lo, hi):
+        return [(x, n * pow(x, -1, m) % m)
+                for x in range(lo, hi) if gcd(x, m) == 1]
+
+    moduli = [2, 3, 4, 97, 7919, 720, 30030, 1001, 64, 4096, 1 << 15]
+    moduli += [rng.randrange(5, 20000) for _ in range(20)]
+    for m in moduli:
+        n = rng.randrange(1, 10 ** 12)
+        for _ in range(4):
+            x0 = rng.randrange(m)
+            width = rng.randrange(1, 2 * m + 2)
+            xs, ys = K.hyperbola_points(n, m, x0, width)
+            assert list(zip(xs.tolist(), ys.tolist())) == recount(
+                n, m, x0, min(x0 + width, m)), (m, x0, width)
+        xs, ys = K.hyperbola_points(n, m)
+        assert list(zip(xs.tolist(), ys.tolist())) == recount(n, m, 0, m)
 
 
 def test_inverses_for_backends_agree():
@@ -54,8 +78,8 @@ def test_bucket_csr_backends_agree():
         npts = rng.randrange(0, 300)
         xs = np.array([rng.randrange(a) for _ in range(npts)], dtype=np.int64)
         ys = np.array([rng.randrange(a) for _ in range(npts)], dtype=np.int64)
-        r1 = K._bucket_csr_loop(xs, ys, w, h, cols, rows)
-        r2 = K._bucket_csr_np(xs, ys, w, h, cols, rows)
+        r1 = K._bucket_csr_loop(xs, ys, w, h, cols, rows, 0, cols)
+        r2 = K._bucket_csr_np(xs, ys, w, h, cols, rows, 0, cols)
         for x, y in zip(r1, r2):
             assert np.array_equal(x, y)
 
@@ -66,15 +90,22 @@ def test_hyperbola_scan_backends_agree():
     from util import arbitrary_semiprime, balanced_semiprime
 
     def both(n, a, w, h, dxc, dyc):
-        pa = K._distinct_primes(a)
-        pm = K._distinct_primes(a - 1)
-        r1 = K._hyperbola_scan_loop(np.int64(n), np.int64(a), np.int64(a - 1),
-                                    pa, pm, np.int64(w), np.int64(h),
-                                    np.int64(dxc), np.int64(dyc))
-        r2 = K._hyperbola_scan_np(n, a, a - 1, pa, pm, w, h, dxc, dyc)
-        assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2), (
-            n, a, w, h)
-        return r1
+        """The loop and numpy kernels on whole grids, and hyperbola_scan."""
+        cols, rows = -(-a // w), -(-a // h)
+        bx, by = K.hyperbola_points(n, a)
+        sx, sy = K.hyperbola_points(n, a - 1)
+        args = (cols, rows, w, h, a, dxc, dyc, n, a - 1, 0, 0)
+        r1 = K._pair_scan_csr_loop(
+            *K._bucket_csr_loop(bx, by, w, h, cols, rows, 0, cols),
+            *K._bucket_csr_loop(sx, sy, w, h, cols, rows, 0, cols), *args)
+        r2 = K._pair_scan_csr_np(
+            *K._bucket_csr_np(bx, by, w, h, cols, rows, 0, cols),
+            *K._bucket_csr_np(sx, sy, w, h, cols, rows, 0, cols), *args)
+        u, v, points, pairs = K.hyperbola_scan(n, a, a - 1, w, h, dxc, dyc)
+        assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2) == (
+            u, v, pairs), (n, a, w, h)
+        assert points == bx.size + sx.size
+        return u, v, points, pairs
 
     for _ in range(25):
         n, p, q = balanced_semiprime(rng, 10 ** 9)
@@ -82,7 +113,7 @@ def test_hyperbola_scan_backends_agree():
         if n % a == 0 or n % (a - 1) == 0:
             continue
         b = int(a ** 0.5) + 1
-        assert int(both(n, a, b, b, 1, 1)[0]) == p
+        assert both(n, a, b, b, 1, 1)[0] == p
 
     # the general variant's w x (a // w) rectangles, scanned at radii (1, 2)
     for _ in range(8):
@@ -114,10 +145,8 @@ def test_windowed_scan_backends_agree():
         h = max(1, a // w)
         cols, rows = -(-a // w), -(-a // h)
         dxc, dyc = rng.choice(((1, 1), (1, 2)))
-        bx, by, bc0, bk = window(*K._hyperbola_points_np(
-            n % a, a, K._distinct_primes(a)), w, cols)
-        sx, sy, sc0, sk = window(*K._hyperbola_points_np(
-            n % (a - 1), a - 1, K._distinct_primes(a - 1)), w, cols)
+        bx, by, bc0, bk = window(*K.hyperbola_points(n, a), w, cols)
+        sx, sy, sc0, sk = window(*K.hyperbola_points(n, a - 1), w, cols)
         base = K._bucket_csr_np(bx, by, w, h, cols, rows, bc0, bk)
         shifted = K._bucket_csr_np(sx, sy, w, h, cols, rows, sc0, sk)
         for got, want in ((base, K._bucket_csr_loop(bx, by, w, h, cols, rows,
@@ -145,15 +174,15 @@ def test_pair_scan_chunk_budget(monkeypatch):
         a = ceil_cbrt(n)
         h = a // w
         cols, rows = -(-a // w), -(-a // h)
-        bx, by, bst = K._bucket_csr_np(*K._hyperbola_points_np(
-            n % a, a, K._distinct_primes(a)), w, h, cols, rows)
-        sx, sy, sst = K._bucket_csr_np(*K._hyperbola_points_np(
-            n % (a - 1), a - 1, K._distinct_primes(a - 1)), w, h, cols, rows)
+        bx, by, bst = K._bucket_csr_np(*K.hyperbola_points(n, a), w, h,
+                                       cols, rows, 0, cols)
+        sx, sy, sst = K._bucket_csr_np(*K.hyperbola_points(n, a - 1), w, h,
+                                       cols, rows, 0, cols)
         monkeypatch.setattr(K, "_SCAN_CHUNK", chunk)
         tracemalloc.start()
         try:
             got = K._pair_scan_csr_np(bx, by, bst, sx, sy, sst, cols, rows,
-                                      w, h, a, 1, 2, n, a - 1)
+                                      w, h, a, 1, 2, n, a - 1, 0, 0)
             return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
