@@ -24,13 +24,11 @@ from .factor import (
     Factorization,
     Prime,
     Unit,
-    check_candidate,
     factor,
     hide_seek_balanced,
     hide_seek_general,
     trial_division,
 )
-from .grid import CellCounts, Grid, bucket, make_grid, neighbor_pairs
 from .moments import (
     MomentDomain,
     MomentReport,

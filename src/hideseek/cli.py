@@ -290,7 +290,7 @@ def _sample_semiprime(rng: SplitMix64, nmin: int, nmax: int,
         n = p * q
         if nmin <= n <= nmax:
             return n, min(p, q), max(p, q)
-    raise RuntimeError("could not sample a semiprime in range")
+    raise ValueError(f"no semiprime sampled in [{nmin}, {nmax}]")
 
 
 def cmd_bench(args) -> int:

@@ -25,18 +25,16 @@ import numpy as np
 
 from . import _kernels
 from .arith import ceil_cbrt
-from .solutions import HyperbolaPoint, _strip_arrays
+from .solutions import _strip_arrays
 
 __all__ = [
     "Factorization",
     "Prime",
     "Unit",
-    "CandidateFrame",
     "FactorStats",
     "InvariantError",
     "OutOfRangeError",
     "N_MIN",
-    "check_candidate",
     "hide_seek_balanced",
     "hide_seek_general",
     "trial_division",
@@ -82,17 +80,6 @@ class Unit:
     n: int = 1
 
 
-@dataclass(frozen=True)
-class CandidateFrame:
-    """A point pair: p solves x*y == N (mod a), p_prime mod a-1."""
-
-    a: int
-    p: HyperbolaPoint
-    p_prime: HyperbolaPoint
-    col_wrap: bool = False
-    row_wrap: bool = False
-
-
 @dataclass
 class FactorStats:
     """Work counters filled in by the hide-seek operations; points and
@@ -104,41 +91,6 @@ class FactorStats:
     h: int = 0
     points: int = 0
     pairs: int = 0
-
-
-def check_candidate(N: int, a: int, frame: CandidateFrame
-                    ) -> Factorization | None:
-    """Try to reconstruct N = (u1*a + u0)(v1*a + v0) from a point pair.
-
-    u0, v0 come from the mod-a point; the digit candidates are the raw
-    coordinate differences and the differences plus a-1 (undoing a wrap of
-    the reduced coordinate), kept when they land in [0, a).  All
-    arithmetic is exact.
-    """
-    m2 = a - 1
-    u0, v0 = frame.p
-    du = frame.p_prime.x - u0
-    dv = frame.p_prime.y - v0
-    best: tuple[int, int] | None = None
-    for u1 in (du, du + m2):
-        if not 0 <= u1 < a:
-            continue
-        u = u1 * a + u0
-        if u < 2:
-            continue
-        for v1 in (dv, dv + m2):
-            if not 0 <= v1 < a:
-                continue
-            v = v1 * a + v0
-            if v < 2:
-                continue
-            if u * v == N:
-                lo, hi = (u, v) if u <= v else (v, u)
-                if best is None or (lo, hi) < best:
-                    best = (lo, hi)
-    if best is None:
-        return None
-    return Factorization(N, best[0], best[1])
 
 
 def _gcd_shortcut(N: int, a: int) -> Factorization | None:

@@ -15,8 +15,9 @@ The search is exhaustive over point tuples with incremental pruning:
 * growth: values are nondecreasing in delta and bounded by the set's
   range, so tuples are extended in sorted order and cut early;
 * the last level is never scanned: the final coordinate is forced to
-  P(d) + t * d! for the degree-(d-1) interpolant P, so only membership
-  probes remain.
+  P(d) + t * d! with 0 <= t < a for the degree-(d-1) interpolant P, so x
+  is found by membership probes and each hit's y set is filtered by the
+  same congruence.
 
 Desk-scale by design; instances whose predicted set size exceeds the cap
 are refused up front.
@@ -252,9 +253,8 @@ def poly_search(inst: PolyInstance
             ucs = coeffs_ok(xs + [x])
             if ucs is None:
                 continue
-            for tt in range(a):
-                y = py + tt * fact_d
-                if y in yset:
+            for y in yset:
+                if (y - py) % fact_d == 0 and 0 <= y - py < a * fact_d:
                     vcs = coeffs_ok(ys + [y])
                     if vcs is not None:
                         results.add((ucs, vcs))

@@ -172,6 +172,13 @@ def test_bench_empty_range_header_only(tmp_path, capsys):
         "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v"]
 
 
+def test_bench_range_without_semiprime_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--nmin", "100", "--nmax",
+                             "10", "--samples", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bench_byte_stable_modulo_timing(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):

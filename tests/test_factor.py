@@ -1,25 +1,25 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
+from hideseek._kernels import hyperbola_scan
 from hideseek.arith import ceil_cbrt, euler_phi
 from hideseek.factor import (
-    CandidateFrame,
     Factorization,
     FactorStats,
     InvariantError,
     OutOfRangeError,
     Prime,
     Unit,
-    check_candidate,
     factor,
     hide_seek_balanced,
     hide_seek_general,
     is_probable_prime,
     trial_division,
 )
-from hideseek.solutions import HyperbolaPoint
+from hideseek.solutions import solve_all
+from oracle import check_candidate, neighbor_pairs
 from util import arbitrary_semiprime, balanced_semiprime, rand_prime
 
 
@@ -34,15 +34,12 @@ def test_factorization_invariant_enforced():
 
 
 def test_check_candidate_worked_example():
-    frame = CandidateFrame(6, HyperbolaPoint(1, 5), HyperbolaPoint(2, 1))
-    got = check_candidate(77, 6, frame)
-    assert got == Factorization(77, 7, 11)
+    assert check_candidate(77, 6, (1, 5), (2, 1)) == Factorization(77, 7, 11)
 
 
 def test_check_candidate_rejects_trivial_divisor():
     # reconstruction that would give u = 1 is discarded
-    frame = CandidateFrame(6, HyperbolaPoint(1, 5), HyperbolaPoint(1, 1))
-    assert check_candidate(5, 6, frame) is None
+    assert check_candidate(5, 6, (1, 5), (1, 1)) is None
 
 
 def test_check_candidate_planted_frames():
@@ -55,10 +52,9 @@ def test_check_candidate_planted_frames():
         n = p * q
         a = ceil_cbrt(2 * n)
         m2 = a - 1
-        frame = CandidateFrame(
-            a, HyperbolaPoint(p % a, q % a),
-            HyperbolaPoint((p % a + p // a) % m2, (q % a + q // a) % m2))
-        got = check_candidate(n, a, frame)
+        got = check_candidate(
+            n, a, (p % a, q % a),
+            ((p % a + p // a) % m2, (q % a + q // a) % m2))
         assert got == Factorization(n, p, q), (n, p, q, got)
 
 
@@ -280,12 +276,25 @@ def test_factor_stats_populated():
     assert st.points == widths * (euler_phi(st.a) + euler_phi(st.a - 1))
 
 
-def test_kernel_matches_composed_scan():
-    """The kernel scan finds the same split as the compositional path
-    (solve_all + bucket + neighbor_pairs + check_candidate)."""
-    from hideseek.grid import bucket, make_grid, neighbor_pairs
-    from hideseek.solutions import solve_all
+def _oracle_scan(n, a, cell_w, cell_h, dxc, dyc):
+    """(split or None, pairs) of the reference: solve_all points, the
+    neighbor pairs of oracle.py and check_candidate on each pair."""
+    base = solve_all(n, a).points
+    shifted = solve_all(n, a - 1).points
+    found, pairs = set(), 0
+    for pp, qq in neighbor_pairs(base, shifted, a, cell_w, cell_h, dxc, dyc):
+        pairs += 1
+        got = check_candidate(n, a, pp, qq)
+        if got is not None:
+            found.add((got.u, got.v))
+    return min(found, default=None), pairs
 
+
+def test_kernel_matches_composed_scan():
+    """The kernel scan finds the same split and checks the same number of
+    pairs as the reference (solve_all + neighbor_pairs + check_candidate),
+    on the balanced cells at radius 1 and the general variant's
+    (w, max(1, a // w)) cells at radii (1, 2)."""
     rng = random.Random(18)
     for _ in range(40):
         n, p, q = balanced_semiprime(rng, 10 ** 8)
@@ -293,13 +302,23 @@ def test_kernel_matches_composed_scan():
         if n % a == 0 or n % (a - 1) == 0:
             continue
         b = isqrt(a - 1) + 1
-        g = make_grid(a, b, b)
-        base = bucket(solve_all(n, a), g)
-        shifted = bucket(solve_all(n, a - 1), g)
-        found = set()
-        for pp, qq, _, _ in neighbor_pairs(base, shifted, 1, 1):
-            got = check_candidate(n, a, CandidateFrame(a, pp, qq))
-            if got is not None:
-                found.add((got.u, got.v))
+        split, pairs = _oracle_scan(n, a, b, b, 1, 1)
         fast = hide_seek_balanced(n)
-        assert (fast.u, fast.v) == min(found), (n, found, fast)
+        assert (fast.u, fast.v) == split, (n, split, fast)
+        assert hyperbola_scan(n, a, a - 1, b, b, 1, 1) == (
+            *split, euler_phi(a) + euler_phi(a - 1), pairs)
+    done = 0
+    while done < 12:
+        n, p, q = arbitrary_semiprime(rng, 10 ** 8)
+        a = ceil_cbrt(n)
+        if p <= a or gcd(n, a * (a - 1)) > 1:
+            continue
+        done += 1
+        w = 2
+        while w <= a:  # the widths hide_seek_general tries
+            h = max(1, a // w)
+            split, pairs = _oracle_scan(n, a, w, h, 1, 2)
+            assert hyperbola_scan(n, a, a - 1, w, h, 1, 2) == (
+                *(split or (0, 0)), euler_phi(a) + euler_phi(a - 1),
+                pairs), (n, w)
+            w *= 2

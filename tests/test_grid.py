@@ -1,47 +1,58 @@
+"""The cell grid over the a-by-a square: bucketing (_kernels.bucket_csr),
+the wrap flags of _kernels.axis_neighbor_table, and the neighbor pairs of
+the reference in oracle.py."""
+
 import random
 
-import pytest
+import numpy as np
 
-from hideseek.grid import bucket, make_grid, neighbor_pairs
-from hideseek.solutions import HyperbolaPoint, solve_all
-
-
-def P(*pairs):
-    return [HyperbolaPoint(x, y) for x, y in pairs]
+from hideseek._kernels import axis_neighbor_table, bucket_csr
+from hideseek.solutions import solve_all
+from oracle import neighbor_pairs
 
 
-def test_make_grid_examples():
-    g = make_grid(6, 3, 3)
-    assert (g.cols, g.rows) == (2, 2)
-    g = make_grid(6, 4, 4)
-    assert (g.cols, g.rows) == (2, 2)
-    g = make_grid(5, 3, 2)
-    assert (g.cols, g.rows) == (2, 3)
+def cells_of(pts, a, w, h):
+    """{(i, j): points} of the non-empty cells bucket_csr fills."""
+    cols, rows = -(-a // w), -(-a // h)
+    xs = np.array([p[0] for p in pts], dtype=np.int64)
+    ys = np.array([p[1] for p in pts], dtype=np.int64)
+    ox, oy, starts = bucket_csr(xs, ys, w, h, cols, rows)
+    assert starts[-1] == len(pts)
+    out = {}
+    for cid in range(cols * rows):
+        lo, hi = starts[cid], starts[cid + 1]
+        if lo < hi:
+            out[(cid % cols, cid // cols)] = list(
+                zip(ox[lo:hi].tolist(), oy[lo:hi].tolist()))
+    return out
 
 
-def test_make_grid_validation():
-    with pytest.raises(ValueError):
-        make_grid(5, 0, 2)
-    with pytest.raises(ValueError):
-        make_grid(5, 6, 2)
+def wrapped(ncells, cell, a, radius, ci, ni):
+    """Whether axis_neighbor_table reaches cell ni from ci across the seam."""
+    nbr, wrap = axis_neighbor_table(ncells, cell, a, radius)
+    return bool(wrap[ci][nbr[ci].tolist().index(ni)])
 
 
 def test_bucket_examples():
-    cc = bucket(P((1, 5), (5, 1)), make_grid(6, 3, 3))
-    assert cc.cells == {(0, 1): P((1, 5)), (1, 0): P((5, 1))}
-
-    cc = bucket([], make_grid(6, 3, 3))
-    assert cc.cells == {}
-    assert cc.total == 0
-
-    cc = bucket(solve_all(1, 5), make_grid(5, 3, 3))
-    assert cc.cells == {(0, 0): P((1, 1)), (0, 1): P((2, 3)),
-                        (1, 0): P((3, 2)), (1, 1): P((4, 4))}
+    assert cells_of([(1, 5), (5, 1)], 6, 3, 3) == {(0, 1): [(1, 5)],
+                                                   (1, 0): [(5, 1)]}
+    assert cells_of([], 6, 3, 3) == {}
+    pts = [tuple(p) for p in solve_all(1, 5).points]
+    assert cells_of(pts, 5, 3, 3) == {(0, 0): [(1, 1)], (0, 1): [(2, 3)],
+                                      (1, 0): [(3, 2)], (1, 1): [(4, 4)]}
 
 
-def test_bucket_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        bucket(P((6, 0)), make_grid(6, 3, 3))
+def test_make_grid_examples():
+    # ceil(a / cell) columns and rows, the last ones truncated: the whole
+    # square fills every cell, and no point lands outside its cell
+    for a, w, h, cols, rows in ((6, 3, 3, 2, 2), (6, 4, 4, 2, 2),
+                                (5, 3, 2, 2, 3)):
+        cells = cells_of([(x, y) for x in range(a) for y in range(a)], a, w, h)
+        assert sorted(cells) == [(i, j) for i in range(cols)
+                                 for j in range(rows)]
+        for (i, j), cell_pts in cells.items():
+            assert len(cell_pts) == (min((i + 1) * w, a) - i * w) * (
+                min((j + 1) * h, a) - j * h)
 
 
 def test_bucket_tiles_exactly():
@@ -51,50 +62,26 @@ def test_bucket_tiles_exactly():
         w = rng.randrange(1, a + 1)
         h = rng.randrange(1, a + 1)
         pts = [(rng.randrange(a), rng.randrange(a)) for _ in range(200)]
-        cc = bucket(pts, make_grid(a, w, h))
-        assert cc.total == len(pts)
+        cells = cells_of(pts, a, w, h)
+        assert sum(map(len, cells.values())) == len(pts)
         # every stored point lies inside its cell's range
-        g = cc.grid
-        for (i, j), cell_pts in cc.cells.items():
-            for p in cell_pts:
-                assert i * w <= p.x < min((i + 1) * w, a)
-                assert j * h <= p.y < min((j + 1) * h, a)
-
-
-def test_counting_only_mode():
-    cc = bucket(solve_all(1, 5), make_grid(5, 3, 3), counts_only=True)
-    assert cc.counting_only
-    assert cc.total == 4
-    assert cc.count(0, 0) == 1
-    with pytest.raises(ValueError):
-        cc.points_in(0, 0)
+        for (i, j), cell_pts in cells.items():
+            for x, y in cell_pts:
+                assert i * w <= x < min((i + 1) * w, a)
+                assert j * h <= y < min((j + 1) * h, a)
 
 
 def test_neighbor_pairs_single_cell():
-    g = make_grid(10, 4, 4)
-    base = bucket(P((1, 1),), g)
-    shifted = bucket(P((2, 2),), g)
-    out = list(neighbor_pairs(base, shifted, 1, 1))
-    assert len(out) == 1
-    p, q, cw, rw = out[0]
-    assert (p, q) == (HyperbolaPoint(1, 1), HyperbolaPoint(2, 2))
-    assert not cw and not rw
+    out = list(neighbor_pairs([(1, 1)], [(2, 2)], 10, 4, 4, 1, 1))
+    assert out == [((1, 1), (2, 2))]
+    assert not wrapped(3, 4, 10, 1, 0, 0)
 
 
 def test_neighbor_pairs_wrap_flag():
-    g = make_grid(9, 3, 3)  # 3x3 cells, exact tiling
-    base = bucket(P((8, 4),), g)      # cell (2, 1)
-    shifted = bucket(P((0, 4),), g)   # cell (0, 1)
-    out = list(neighbor_pairs(base, shifted, 1, 1))
+    # 3x3 cells, exact tiling: (8, 4) is in cell (2, 1), (0, 4) in (0, 1)
+    out = list(neighbor_pairs([(8, 4)], [(0, 4)], 9, 3, 3, 1, 1))
     assert len(out) == 1
-    assert out[0].col_wrap and not out[0].row_wrap
-
-
-def test_neighbor_pairs_mismatched_grids():
-    a = bucket([], make_grid(6, 3, 3))
-    b = bucket([], make_grid(6, 2, 2))
-    with pytest.raises(ValueError):
-        list(neighbor_pairs(a, b, 1, 1))
+    assert wrapped(3, 3, 9, 1, 2, 0) and not wrapped(3, 3, 9, 1, 1, 1)
 
 
 def test_neighbor_pairs_full_coverage_counts():
@@ -103,12 +90,10 @@ def test_neighbor_pairs_full_coverage_counts():
         a = rng.randrange(4, 60)
         w = rng.randrange(1, a + 1)
         h = rng.randrange(1, a + 1)
-        g = make_grid(a, w, h)
+        cols, rows = -(-a // w), -(-a // h)
         bpts = [(rng.randrange(a), rng.randrange(a)) for _ in range(15)]
         spts = [(rng.randrange(a), rng.randrange(a)) for _ in range(11)]
-        base = bucket(bpts, g)
-        shifted = bucket(spts, g)
-        out = list(neighbor_pairs(base, shifted, g.cols, g.rows))
+        out = list(neighbor_pairs(bpts, spts, a, w, h, cols, rows))
         assert len(out) == len(bpts) * len(spts)
 
 
@@ -119,12 +104,9 @@ def test_neighbor_pairs_matches_brute_force_window():
         cols = rng.randrange(3, 7)
         w = rng.randrange(1, 5)
         a = cols * w
-        g = make_grid(a, w, w)
         bpts = [(rng.randrange(a), rng.randrange(a)) for _ in range(25)]
         spts = [(rng.randrange(a), rng.randrange(a)) for _ in range(25)]
-        base = bucket(bpts, g)
-        shifted = bucket(spts, g)
-        got = len(list(neighbor_pairs(base, shifted, 1, 1)))
+        got = len(list(neighbor_pairs(bpts, spts, a, w, w, 1, 1)))
         want = 0
         for bx, by in bpts:
             bi, bj = bx // w, by // w
@@ -150,15 +132,12 @@ def test_completeness_guarantee_radius_one():
         a = rng.randrange(6, 300)
         w = rng.randrange(2, a)
         h = rng.randrange(2, a)
-        g = make_grid(a, w, h)
         p = (rng.randrange(a), rng.randrange(a))
         q = ((p[0] + rng.randrange(-w + 1, w)) % a,
              (p[1] + rng.randrange(-h + 1, h)) % a)
         assert wrapped_dist(p[0], q[0], a) < w
         assert wrapped_dist(p[1], q[1], a) < h
-        base = bucket([p], g)
-        shifted = bucket([q], g)
-        out = list(neighbor_pairs(base, shifted, 1, 1))
+        out = list(neighbor_pairs([p], [q], a, w, h, 1, 1))
         assert len(out) >= 1, (a, w, h, p, q)
 
 
@@ -166,9 +145,6 @@ def test_completeness_regression_truncated_seam():
     # wrapped distance 66 < 105, but the points straddle the thin
     # truncated last column; the gap rule must still pair them
     a, w = 10972, 105
-    g = make_grid(a, w, w)
-    base = bucket([(10919, 1155)], g)
-    shifted = bucket([(13, 1238)], g)
-    out = list(neighbor_pairs(base, shifted, 1, 1))
+    out = list(neighbor_pairs([(10919, 1155)], [(13, 1238)], a, w, w, 1, 1))
     assert len(out) == 1
-    assert out[0].col_wrap
+    assert wrapped(-(-a // w), w, a, 1, 10919 // w, 13 // w)
