@@ -15,6 +15,13 @@ _bucket, _pair_scan); everything else, the one solution enumerator
 _points included, is shared numpy code.  `benchmarks/compare_backends.py`
 times the twins against each other.
 
+The numpy twins of the first two do linear work, as the loops do: batch
+inversion scans the prefix and suffix products as two rows of one
+blocked scan (_modprod_scan, about 2 multiplications per value), and
+bucketing is two stable sorts, by window column and then by row, where
+the first meets callers' points already in order and the second is a
+radix sort on uint16 rows.
+
 All kernels work in int64.  Callers guarantee N < 2**63 and modulus
 m < 2**31, so every intermediate product here fits in int64 (products of
 two residues < m**2 < 2**62; candidate checks use division instead of
@@ -36,6 +43,7 @@ mode can run the full-mode scan window by window in bounded memory.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -268,39 +276,75 @@ def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
 
 
 def _modprod_scan(xs: np.ndarray, m: int) -> np.ndarray:
-    """Inclusive prefix products mod m via log-depth doubling passes."""
-    p = xs.astype(np.int64).copy()
+    """Inclusive prefix products mod m along the last axis of a 1-D or
+    2-D array, by a blocked scan in about 2*k multiplications.
+
+    The k values of a row are laid out as blocks of b, b the power of two
+    nearest k**(1/3) within 4..64 (the tail padded with ones): b - 1
+    passes scan inside every block of every row at once, log-depth
+    doubling passes scan the k/b block totals, and one multiply carries
+    each block's prefix into the next block.  The totals are held
+    (block, row), so that each doubling pass is one contiguous run.
+    """
+    lead, k = xs.shape[:-1], xs.shape[-1]
+    b = 1 << min(6, max(2, round(math.log2(k) / 3))) if k > 1 else 4
+    nb = -(-k // b)
+    rows = math.prod(lead)
+    q = np.ones((rows * nb, b), dtype=np.int64)
+    q.reshape(rows, nb * b)[:, :k] = xs.reshape(rows, k)
+    c = q[:, 0]
+    for j in range(1, b):
+        prev, c = c, q[:, j]
+        c *= prev
+        c %= m
+    t = c.reshape(rows, nb).T.copy()
     shift = 1
-    while shift < p.size:
-        p[shift:] = p[shift:] * p[:-shift] % m
+    while shift < nb:
+        t[shift:] = t[shift:] * t[:-shift] % m
         shift <<= 1
-    return p
+    rest = q.reshape(rows, nb, b)[:, 1:]
+    rest *= t[:-1].T[:, :, None]
+    rest %= m
+    return q.reshape(lead + (nb * b,))[..., :k]
 
 
 def _inverses_for_np(xs: np.ndarray, m: int) -> np.ndarray:
     k = xs.size
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    pref = _modprod_scan(xs, m)
-    revp = _modprod_scan(xs[::-1], m)
-    total_inv = pow(int(pref[-1]), -1, m)
+    # one scan of two rows: 1, xs and 1, xs reversed
+    s = np.ones((2, k + 1), dtype=np.int64)
+    s[0, 1:] = xs
+    s[1, 1:] = xs[::-1]
+    p = _modprod_scan(s, m)
+    del s  # free the input before the output is formed
+    total_inv = pow(int(p[0, -1]), -1, m)
     # inv(xs[i]) = total_inv * prod(xs[:i]) * prod(xs[i+1:])
-    left = np.empty(k, dtype=np.int64)
-    left[0] = 1
-    left[1:] = pref[:-1]
-    right = np.empty(k, dtype=np.int64)
-    right[-1] = 1
-    right[:-1] = revp[::-1][1:]
-    out = left * right % m
-    out = out * (total_inv % m) % m
+    out = p[0, :-1] * p[1, -2::-1]
+    out %= m
+    out *= total_inv
+    out %= m
     return out
 
 
 def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
+    """Same contract as _bucket_csr_loop: points stable by (row, window
+    column) for any input order, so in input order within a cell.
+
+    Two stable passes, window column then row.  Callers pass points in
+    window-column order, where the first pass meets a single sorted run;
+    rows fit uint16 up to 2**16 rows, where numpy's stable sort is a
+    radix sort.
+    """
     ncells = k * rows
-    cids = (ys // cell_h) * k + (xs // cell_w - c0) % cols
-    order = np.argsort(cids, kind="stable")
-    counts = np.bincount(cids, minlength=ncells)
+    col = (xs // cell_w - c0) % cols
+    row = ys // cell_h
+    counts = np.bincount(row * k + col, minlength=ncells)
+    order = np.argsort(col, kind="stable")
+    row = row[order]
+    if rows <= 1 << 16:
+        row = row.astype(np.uint16)
+    order = order[np.argsort(row, kind="stable")]
     starts = np.zeros(ncells + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return xs[order], ys[order], starts

@@ -5,7 +5,8 @@ multiplicative functions (phi, tau, mu) by trial factorization, exact
 integer cube roots, and single/batch modular inverses.  Batch inversion
 over the units of m uses prefix products: one multiplication pass, a
 single extended-gcd inversion, and a back-substitution pass, so the whole
-table costs O(m) multiplications.
+table costs O(m) multiplications on either backend (the numpy one scans
+the products in blocks, see _kernels._modprod_scan).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ selection itself is exercised end-to-end in test_cli.py.
 """
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -82,6 +82,60 @@ def test_bucket_csr_backends_agree():
         r2 = K._bucket_csr_np(xs, ys, w, h, cols, rows, 0, cols)
         for x, y in zip(r1, r2):
             assert np.array_equal(x, y)
+
+
+def _same_csr(xs, ys, w, h, cols, rows, c0, k):
+    """The numpy bucketing equals the loop twin on these points."""
+    want = K._bucket_csr_loop(xs, ys, w, h, cols, rows, c0, k)
+    got = K._bucket_csr_np(xs, ys, w, h, cols, rows, c0, k)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y), (w, h, cols, rows, c0, k)
+
+
+def test_bucket_csr_program_order_shuffled_and_windows():
+    """Enumerated x-ascending points (the program's order), the same
+    points shuffled, and wrapping column windows in both orders."""
+    rng = random.Random(51)
+    nprng = np.random.default_rng(51)
+    for m in (997, 4096, 30030, 65521):
+        n = rng.randrange(1, 10 ** 12)
+        xs, ys = K.hyperbola_points(n, m)
+        side = isqrt(m)
+        w = rng.randrange(side // 4, 2 * side)
+        h = rng.randrange(side // 4, 2 * side)
+        cols, rows = -(-m // w), -(-m // h)
+        _same_csr(xs, ys, w, h, cols, rows, 0, cols)
+        perm = nprng.permutation(xs.size)
+        _same_csr(xs[perm], ys[perm], w, h, cols, rows, 0, cols)
+        for _ in range(3):
+            # a window of k < cols columns from c0 > 0, wrapping past the
+            # last column as strip mode's shifted windows do
+            k = rng.randrange(1, cols)
+            c0 = rng.randrange(max(1, cols - k), cols)
+            runs = [(c0, min(c0 + k, cols)), (0, c0 + k - cols)]
+            wx = np.concatenate([xs[(xs >= lo * w) & (xs < hi * w)]
+                                 for lo, hi in runs if lo < hi])
+            wy = np.concatenate([ys[(xs >= lo * w) & (xs < hi * w)]
+                                 for lo, hi in runs if lo < hi])
+            _same_csr(wx, wy, w, h, cols, rows, c0, k)
+            perm = nprng.permutation(wx.size)
+            _same_csr(wx[perm], wy[perm], w, h, cols, rows, c0, k)
+
+
+def test_bucket_csr_row_cast_boundary():
+    """Grids of 2**16 rows (rows fit uint16) and 2**16 + 1 rows (they do
+    not), with points in the last row and in unsorted order."""
+    rng = random.Random(52)
+    for rows in (1 << 16, (1 << 16) + 1):
+        for w, cols in ((rows, 1), (4096, -(-rows // 4096))):
+            npts = 3000
+            xs = np.array([rng.randrange(rows) for _ in range(npts)]
+                          + [0, rows - 1], dtype=np.int64)
+            ys = np.array([rng.randrange(rows) for _ in range(npts)]
+                          + [rows - 1, rows - 1], dtype=np.int64)
+            _same_csr(xs, ys, w, 1, cols, rows, 0, cols)
+            order = np.argsort(xs // w, kind="stable")
+            _same_csr(xs[order], ys[order], w, 1, cols, rows, 0, cols)
 
 
 def test_hyperbola_scan_backends_agree():
@@ -268,6 +322,47 @@ def test_modprod_scan_matches_serial():
             acc = acc * x % m
             want.append(acc)
         assert got.tolist() == want
+
+
+def test_modprod_scan_blocks_match_serial():
+    """The blocked scan against a serial product, on 1-D and 2-row input:
+    lengths 1-3 and one below, at and above a multiple of each block
+    width 4..64, up to about 1e5, on small moduli and one near 2**31."""
+    rng = random.Random(53)
+    lengths = [1, 2, 3]
+    for width, blocks in ((4, 10), (8, 30), (16, 100), (32, 400),
+                          (64, 1600)):
+        lengths += [width * blocks - 1, width * blocks, width * blocks + 1]
+    for m in (2, 97, 65536, (1 << 31) - 1):
+        rows = [[rng.randrange(m) for _ in range(max(lengths))]
+                for _ in range(2)]
+        serial = []
+        for row in rows:
+            acc, want = 1, []
+            for x in row:
+                acc = acc * x % m
+                want.append(acc)
+            serial.append(np.array(want, dtype=np.int64))
+        xs = np.array(rows, dtype=np.int64)
+        for k in lengths:
+            assert np.array_equal(K._modprod_scan(xs[0, :k], m),
+                                  serial[0][:k]), (m, k)
+            got = K._modprod_scan(xs[:, :k], m)
+            assert got.shape == (2, k)
+            assert np.array_equal(got[0], serial[0][:k]), (m, k)
+            assert np.array_equal(got[1], serial[1][:k]), (m, k)
+
+
+def test_inverses_for_large_shuffled_units():
+    """Both inversion kernels equal pow(x, -1, m) on shuffled unit
+    arrays of 3e3 to 1e5 elements."""
+    nprng = np.random.default_rng(54)
+    for m in (3001, 2 * 3 * 5 * 7 * 11 * 13 * 17, 65536, 100003):
+        units, _ = K.unit_inverse_table(m)
+        xs = nprng.permutation(units)
+        want = [pow(x, -1, m) for x in xs.tolist()]
+        assert K._inverses_for_np(xs, m).tolist() == want, m
+        assert K._inverses_for_loop(xs, m).tolist() == want, m
 
 
 def test_kernel_range_guards():
