@@ -1,8 +1,10 @@
 """Command-line interface and benchmark harness.
 
-Output in json/csv mode is byte-stable for a fixed (command, seed): the
-only nondeterministic fields are the timing columns.  All randomness
-comes from the SplitMix64 stream in hideseek.rng, seeded from --seed.
+Every command builds its result once, as a row and as plain lines, and
+prints it through one emitter, _emit, in the --format asked for.  Output
+is byte-stable for a fixed (command, seed): only the timing field
+`micros` varies between runs.  All randomness comes from the SplitMix64
+stream in hideseek.rng, seeded from --seed.
 
 Exit codes: 0 success, 1 no factor found where one was claimed, 2 usage
 or parse failure, 3 internal invariant violation, 4 input outside the
@@ -49,10 +51,6 @@ BENCH_COLUMNS = ["N", "method", "a", "w", "h", "points_enumerated",
                  "pairs_checked", "micros", "u", "v"]
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
 def _emit_csv(columns: list[str], rows: list[dict], path: str | None = None):
     out = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -63,6 +61,21 @@ def _emit_csv(columns: list[str], rows: list[dict], path: str | None = None):
     finally:
         if path:
             out.close()
+
+
+def _emit(fmt: str, row: dict, plain: list[str],
+          columns: list[str] | None = None,
+          rows: list[dict] | None = None) -> None:
+    """Print one result: row as JSON with sorted keys, rows (default
+    [row]) as CSV under columns (default row's keys, in order), or the
+    plain lines."""
+    if fmt == "json":
+        print(json.dumps(row, sort_keys=True))
+    elif fmt == "csv":
+        _emit_csv(columns or list(row), [row] if rows is None else rows)
+    else:
+        for line in plain:
+            print(line)
 
 
 def _factor_row(n: int, res, stats: FactorStats, micros: int) -> dict:
@@ -97,72 +110,41 @@ def cmd_factor(args) -> int:
 
     if isinstance(res, Factorization) and res.u * res.v != n:
         raise InvariantError("split failed re-verification")
-    if args.format == "json":
-        row = _factor_row(n, res, stats, micros)
-        if isinstance(res, Unit):
-            row["kind"] = "unit"
-        elif isinstance(res, Prime):
-            row["kind"] = "prime"
-        elif isinstance(res, Factorization):
-            row["kind"] = "composite"
-        else:
-            row["kind"] = "unknown"
-        _emit_json(row)
-    elif args.format == "csv":
-        _emit_csv(BENCH_COLUMNS, [_factor_row(n, res, stats, micros)])
+    if isinstance(res, Unit):
+        kind, line = "unit", f"{n} is a unit"
+    elif isinstance(res, Prime):
+        kind, line = "prime", f"{n} is prime"
+    elif isinstance(res, Factorization):
+        kind, line = "composite", f"{n} = {res.u} * {res.v}"
     else:
-        if isinstance(res, Unit):
-            print(f"{n} is a unit")
-        elif isinstance(res, Prime):
-            print(f"{n} is prime")
-        elif isinstance(res, Factorization):
-            print(f"{n} = {res.u} * {res.v}")
-        else:
-            print(f"no factor found for {n}")
-    if res is None:
-        return 1
-    return 0
+        kind, line = "unknown", f"no factor found for {n}"
+    row = _factor_row(n, res, stats, micros)
+    row["kind"] = kind
+    _emit(args.format, row, [line], BENCH_COLUMNS)
+    return 1 if res is None else 0
 
 
 def cmd_solve(args) -> int:
-    got = solve_all(args.N, args.a)
+    n, a = args.N, args.a
+    got = solve_all(n, a)
     if isinstance(got, CommonFactor):
-        if args.format == "json":
-            _emit_json({"N": args.N, "a": args.a, "common_factor": got.gcd})
-        elif args.format == "csv":
-            _emit_csv(["N", "a", "common_factor"],
-                      [{"N": args.N, "a": args.a, "common_factor": got.gcd}])
-        else:
-            print(f"common factor {got.gcd}")
-        return 0
-    if args.rect is not None:
+        _emit(args.format, {"N": n, "a": a, "common_factor": got.gcd},
+              [f"common factor {got.gcd}"])
+    elif args.rect is not None:
         r = Rect(*args.rect)
-        c = count_in_rect(args.N, args.a, r)
-        if args.format == "json":
-            _emit_json({"N": args.N, "a": args.a, "count": c,
-                        "rect": list(args.rect)})
-        elif args.format == "csv":
-            _emit_csv(["N", "a", "x1", "x2", "y1", "y2", "count"],
-                      [{"N": args.N, "a": args.a, "x1": r.x1, "x2": r.x2,
-                        "y1": r.y1, "y2": r.y2, "count": c}])
-        else:
-            print(c)
-        return 0
-    pts = got.points
-    if args.format == "json":
-        _emit_json({"N": args.N, "a": args.a, "count": len(pts),
-                    "points": [[p.x, p.y] for p in pts]})
-    elif args.format == "csv":
-        _emit_csv(["x", "y"], [{"x": p.x, "y": p.y} for p in pts])
+        c = count_in_rect(n, a, r)
+        flat = {"N": n, "a": a, "x1": r.x1, "x2": r.x2, "y1": r.y1,
+                "y2": r.y2, "count": c}
+        _emit(args.format, {"N": n, "a": a, "count": c,
+                            "rect": list(args.rect)},
+              [str(c)], list(flat), [flat])
     else:
-        for p in pts:
-            print(f"{p.x} {p.y}")
+        pts = got.points
+        _emit(args.format, {"N": n, "a": a, "count": len(pts),
+                            "points": [list(p) for p in pts]},
+              [f"{p.x} {p.y}" for p in pts], ["x", "y"],
+              [p._asdict() for p in pts])
     return 0
-
-
-_MOMENT_COLUMNS = ["N", "a", "cell_w", "cell_h", "domain", "sum_counts",
-                   "sum_squares", "expected_mean_cell", "k0_term",
-                   "edge_points", "spectral_value"]
 
 
 def cmd_moment(args) -> int:
@@ -184,78 +166,51 @@ def cmd_moment(args) -> int:
         "N": rep.N, "a": rep.a, "cell_w": rep.cell_w, "cell_h": rep.cell_h,
         "domain": rep.domain.value, "sum_counts": rep.sum_counts,
         "sum_squares": rep.sum_squares,
-        "expected_mean_cell": repr(rep.expected_mean_cell),
-        "k0_term": repr(rep.k0_term), "edge_points": rep.edge_points,
-        "spectral_value": "" if spectral is None else repr(spectral),
+        "expected_mean_cell": rep.expected_mean_cell,
+        "k0_term": rep.k0_term, "edge_points": rep.edge_points,
+        "spectral_value": spectral,
     }
-    if args.format == "json":
-        row["expected_mean_cell"] = rep.expected_mean_cell
-        row["k0_term"] = rep.k0_term
-        row["spectral_value"] = spectral
-        _emit_json(row)
-    elif args.format == "csv":
-        _emit_csv(_MOMENT_COLUMNS, [row])
-    else:
-        print(f"N={rep.N} a={rep.a} cells {rep.cell_w}x{rep.cell_h} "
-              f"({rep.domain.value})")
-        print(f"sum_counts = {rep.sum_counts}")
-        print(f"sum_squares = {rep.sum_squares}")
-        print(f"expected_mean_cell = {rep.expected_mean_cell}")
-        print(f"k0_term = {rep.k0_term}")
-        print(f"edge_points = {rep.edge_points}")
-        if spectral is not None:
-            print(f"spectral_value = {spectral}")
+    plain = [f"N={rep.N} a={rep.a} cells {rep.cell_w}x{rep.cell_h} "
+             f"({rep.domain.value})"]
+    plain += [f"{k} = {row[k]}" for k in (
+        "sum_counts", "sum_squares", "expected_mean_cell", "k0_term",
+        "edge_points")]
+    if spectral is not None:
+        plain.append(f"spectral_value = {spectral}")
+    _emit(args.format, row, plain)
     return 0
 
 
 def cmd_kloosterman(args) -> int:
     kv = kloosterman(args.m, args.n, args.a)
-    row = {"m": kv.m, "n": kv.n, "a": kv.modulus,
-           "value": kv.value, "imag_residual": kv.imag_residual}
-    if args.format == "json":
-        _emit_json(row)
-    elif args.format == "csv":
-        row["value"] = repr(kv.value)
-        row["imag_residual"] = repr(kv.imag_residual)
-        _emit_csv(["m", "n", "a", "value", "imag_residual"], [row])
-    else:
-        print(f"S({kv.m}, {kv.n}, {kv.modulus}) = {kv.value:.12g} "
-              f"(imag residual {kv.imag_residual:.3e})")
+    _emit(args.format,
+          {"m": kv.m, "n": kv.n, "a": kv.modulus, "value": kv.value,
+           "imag_residual": kv.imag_residual},
+          [f"S({kv.m}, {kv.n}, {kv.modulus}) = {kv.value:.12g} "
+           f"(imag residual {kv.imag_residual:.3e})"])
     return 0
 
 
 def cmd_scan_deviation(args) -> int:
     rep = deviation_scan(args.N, args.a, args.trials, args.seed)
-    row = {"N": rep.N, "a": rep.a, "trials": rep.trials, "seed": rep.seed,
-           "max_abs_dev": rep.max_abs_dev, "mean_abs_dev": rep.mean_abs_dev}
-    if args.format == "json":
-        _emit_json(row)
-    elif args.format == "csv":
-        row["max_abs_dev"] = repr(rep.max_abs_dev)
-        row["mean_abs_dev"] = repr(rep.mean_abs_dev)
-        _emit_csv(["N", "a", "trials", "seed", "max_abs_dev",
-                   "mean_abs_dev"], [row])
-    else:
-        print(f"N={rep.N} a={rep.a} trials={rep.trials} seed={rep.seed}")
-        print(f"max |count - expected| = {rep.max_abs_dev}")
-        print(f"mean |count - expected| = {rep.mean_abs_dev}")
+    _emit(args.format,
+          {"N": rep.N, "a": rep.a, "trials": rep.trials, "seed": rep.seed,
+           "max_abs_dev": rep.max_abs_dev, "mean_abs_dev": rep.mean_abs_dev},
+          [f"N={rep.N} a={rep.a} trials={rep.trials} seed={rep.seed}",
+           f"max |count - expected| = {rep.max_abs_dev}",
+           f"mean |count - expected| = {rep.mean_abs_dev}"])
     return 0
 
 
 def cmd_polyfactor(args) -> int:
     got = factor_via_poly(args.N, args.a, args.d)
-    if args.format == "json":
-        row = {"N": args.N, "a": args.a, "d": args.d}
-        if got is None:
-            row["kind"] = "none"
-        else:
-            row.update(kind="composite", u=got.u, v=got.v)
-        _emit_json(row)
+    row = {"N": args.N, "a": args.a, "d": args.d, "kind": "none"}
+    if got is None:
+        line = f"no degree-{args.d} split found for {args.N}"
     else:
-        if got is None:
-            print(f"no degree-{args.d} split found for {args.N}")
-        else:
-            print(f"{args.N} = {got.u} * {got.v}")
+        row.update(kind="composite", u=got.u, v=got.v)
+        line = f"{args.N} = {got.u} * {got.v}"
+    _emit(args.format, row, [line], ["N", "a", "d", "kind", "u", "v"])
     return 0 if got is not None else 1
 
 

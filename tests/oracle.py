@@ -1,32 +1,55 @@
 """Pure-Python reference for the pair scan, on plain lists of (x, y) points.
 
-neighbor_pairs lists the point pairs the kernels' pair scan checks, from
-the same gap-rule neighbor tables; check_candidate reconstructs a split
-of N from one pair.  The tests hold the kernels to both.
+neighbor_pairs lists the point pairs the kernels' pair scan checks, under
+a neighbor rule derived here from its definition; check_candidate
+reconstructs a split of N from one pair.  The tests hold the kernels to
+both.  Nothing here comes from hideseek._kernels.
 """
 
-from hideseek._kernels import axis_neighbor_table
 from hideseek.factor import Factorization
+
+
+def axis_neighbors(ncells, cell, a, r):
+    """Per cell i of one axis, the set of cells that neighbor it at
+    radius r.  Cell i covers [i*cell, min((i+1)*cell, a)).  Cells at most
+    r apart (wrapping mod ncells) are neighbors; cells r+1 apart are too
+    when some point of one lies within r*cell - 1 of some point of the
+    other on the circle of length a, which happens across the seam where
+    the last cell is truncated to less than cell - 1 points."""
+    def span(i):
+        return i * cell, min((i + 1) * cell, a) - 1
+
+    def gap(i, j):
+        # the nearest points of two disjoint arcs are two of their ends
+        return min(min(abs(x - y), a - abs(x - y))
+                   for x in span(i) for y in span(j))
+
+    out = []
+    for i in range(ncells):
+        near = set()
+        for j in {(i + d) % ncells for d in range(-r - 1, r + 2)}:
+            apart = min((i - j) % ncells, (j - i) % ncells)
+            if apart <= r or apart == r + 1 and gap(i, j) <= r * cell - 1:
+                near.add(j)
+        out.append(near)
+    return out
 
 
 def neighbor_pairs(base, shifted, a, cell_w, cell_h, dxc, dyc):
     """Yield (p, q) for p in base and q in shifted when q's cell is a
-    neighbor of p's at radii (dxc, dyc) under the wrapped-gap rule, on
-    the grid of cell_w x cell_h cells over [0, a)^2 (edge cells
-    truncated).  Each neighbor cell is visited once per base point, so
-    radii covering the whole grid yield every pair exactly once."""
-    cols, rows = -(-a // cell_w), -(-a // cell_h)
-    col_nbrs = axis_neighbor_table(cols, cell_w, a, dxc)[0].tolist()
-    row_nbrs = axis_neighbor_table(rows, cell_h, a, dyc)[0].tolist()
+    neighbor of p's at radii (dxc, dyc) under axis_neighbors, on the grid
+    of cell_w x cell_h cells over [0, a)^2 (edge cells truncated).  Each
+    neighbor cell is visited once per base point, so radii covering the
+    whole grid yield every pair exactly once."""
+    col_nbrs = axis_neighbors(-(-a // cell_w), cell_w, a, dxc)
+    row_nbrs = axis_neighbors(-(-a // cell_h), cell_h, a, dyc)
     cells = {}
     for q in shifted:
         cells.setdefault((q[0] // cell_w, q[1] // cell_h), []).append(q)
     for p in base:
         for nj in row_nbrs[p[1] // cell_h]:
             for ni in col_nbrs[p[0] // cell_w]:
-                if ni >= 0 and nj >= 0:
-                    for q in cells.get((ni, nj), ()):
-                        yield p, q
+                yield from ((p, q) for q in cells.get((ni, nj), ()))
 
 
 def check_candidate(N, a, p, q):

@@ -1,18 +1,242 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from hideseek.cli import main
+from hideseek.cli import BENCH_COLUMNS, main
 
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Every result command line in each format: (exit code, plain, json, csv
+# stdout), with stderr empty.  "micros" is masked to 0 (mask_micros).
+GOLDEN = {
+    "factor 77": (0,
+        "77 = 7 * 11\n",
+        '{"N": 77, "a": 0, "h": 0, "kind": "composite", '
+        '"method": "trial", "micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": 7, "v": 11, "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "77,trial,0,0,0,0,0,0,7,11\r\n"),
+    "factor 13": (0,
+        "13 is prime\n",
+        '{"N": 13, "a": 0, "h": 0, "kind": "prime", '
+        '"method": "", "micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": "", "v": "", "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "13,,0,0,0,0,0,0,,\r\n"),
+    "factor 1": (0,
+        "1 is a unit\n",
+        '{"N": 1, "a": 0, "h": 0, "kind": "unit", "method": "", '
+        '"micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": "", "v": "", "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1,,0,0,0,0,0,0,,\r\n"),
+    "factor 1000003 --trial-only": (0,
+        "1000003 is prime\n",
+        '{"N": 1000003, "a": 0, "h": 0, "kind": "prime", '
+        '"method": "trial", "micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": "", "v": "", "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1000003,trial,0,0,0,0,0,0,,\r\n"),
+    "factor 1500011500021": (0,
+        "1500011500021 = 1000003 * 1500007\n",
+        '{"N": 1500011500021, "a": 11448, "h": 89, '
+        '"kind": "composite", "method": "general", "micros": 0, '
+        '"pairs_checked": 347216, "points_enumerated": 106330, '
+        '"u": 1000003, "v": 1500007, "w": 128}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1500011500021,general,11448,128,89,106330,347216,0,"
+        "1000003,1500007\r\n"),
+    "factor 1500011500021 --general": (0,
+        "1500011500021 = 1000003 * 1500007\n",
+        '{"N": 1500011500021, "a": 11448, "h": 89, '
+        '"kind": "composite", "method": "general", "micros": 0, '
+        '"pairs_checked": 347216, "points_enumerated": 106330, '
+        '"u": 1000003, "v": 1500007, "w": 128}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1500011500021,general,11448,128,89,106330,347216,0,"
+        "1000003,1500007\r\n"),
+    "factor 1500011500021 --balanced --strip": (0,
+        "1500011500021 = 1000003 * 1500007\n",
+        '{"N": 1500011500021, "a": 14423, "h": 121, '
+        '"kind": "composite", "method": "balanced-strip", '
+        '"micros": 0, "pairs_checked": 65834, '
+        '"points_enumerated": 21632, "u": 1000003, "v": 1500007, '
+        '"w": 121}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1500011500021,balanced-strip,14423,121,121,21632,65834,"
+        "0,1000003,1500007\r\n"),
+    "factor 99400891 --strip": (0,
+        "99400891 = 9967 * 9973\n",
+        '{"N": 99400891, "a": 464, "h": 29, "kind": "composite", '
+        '"method": "general-strip", "micros": 0, '
+        '"pairs_checked": 10774, "points_enumerated": 2744, '
+        '"u": 9967, "v": 9973, "w": 16}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "99400891,general-strip,464,16,29,2744,10774,0,9967,9973\r\n"),
+    "factor 101 --balanced": (1,
+        "no factor found for 101\n",
+        '{"N": 101, "a": 6, "h": 3, "kind": "unknown", '
+        '"method": "balanced", "micros": 0, "pairs_checked": 8, '
+        '"points_enumerated": 6, "u": "", "v": "", "w": 3}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "101,balanced,6,3,3,6,8,0,,\r\n"),
+    "factor 970322 --general": (0,
+        "970322 = 2 * 485161\n",
+        '{"N": 970322, "a": 100, "h": 0, "kind": "composite", '
+        '"method": "general", "micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": 2, "v": 485161, "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "970322,general,100,0,0,0,0,0,2,485161\r\n"),
+    "factor 1000015 --general": (0,
+        "1000015 = 5 * 200003\n",
+        '{"N": 1000015, "a": 101, "h": 0, "kind": "composite", '
+        '"method": "general", "micros": 0, "pairs_checked": 0, '
+        '"points_enumerated": 0, "u": 5, "v": 200003, "w": 0}\n',
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "1000015,general,101,0,0,0,0,0,5,200003\r\n"),
+    "solve 1 5": (0,
+        "1 1\n"
+        "2 3\n"
+        "3 2\n"
+        "4 4\n",
+        '{"N": 1, "a": 5, "count": 4, "points": [[1, 1], [2, 3], '
+        "[3, 2], [4, 4]]}\n",
+        "x,y\r\n"
+        "1,1\r\n"
+        "2,3\r\n"
+        "3,2\r\n"
+        "4,4\r\n"),
+    "solve 77 6 --rect 0 6 0 6": (0,
+        "2\n",
+        '{"N": 77, "a": 6, "count": 2, "rect": [0, 6, 0, 6]}\n',
+        "N,a,x1,x2,y1,y2,count\r\n"
+        "77,6,0,6,0,6,2\r\n"),
+    "solve 10 5": (0,
+        "common factor 5\n",
+        '{"N": 10, "a": 5, "common_factor": 5}\n',
+        "N,a,common_factor\r\n"
+        "10,5,5\r\n"),
+    "moment 1 1009 --cell 32": (0,
+        "N=1 a=1009 cells 32x32 (fundamental-square)\n"
+        "sum_counts = 1008\n"
+        "sum_squares = 2012\n"
+        "expected_mean_cell = 1.013860390283288\n"
+        "k0_term = 1046498.5839672874\n"
+        "edge_points = 33\n",
+        '{"N": 1, "a": 1009, "cell_h": 32, "cell_w": 32, '
+        '"domain": "fundamental-square", "edge_points": 33, '
+        '"expected_mean_cell": 1.013860390283288, '
+        '"k0_term": 1046498.5839672874, "spectral_value": null, '
+        '"sum_counts": 1008, "sum_squares": 2012}\n',
+        "N,a,cell_w,cell_h,domain,sum_counts,sum_squares,"
+        "expected_mean_cell,k0_term,edge_points,spectral_value\r\n"
+        "1,1009,32,32,fundamental-square,1008,2012,"
+        "1.013860390283288,1046498.5839672874,33,\r\n"),
+    "moment 1 7 --rect 3 2 --spectral": (0,
+        "N=1 a=7 cells 3x2 (full-torus-q2)\n"
+        "sum_counts = 36\n"
+        "sum_squares = 44\n"
+        "expected_mean_cell = 0.7346938775510204\n"
+        "k0_term = 26.448979591836736\n"
+        "edge_points = 0\n"
+        "spectral_value = 44.0\n",
+        '{"N": 1, "a": 7, "cell_h": 2, "cell_w": 3, '
+        '"domain": "full-torus-q2", "edge_points": 0, '
+        '"expected_mean_cell": 0.7346938775510204, '
+        '"k0_term": 26.448979591836736, "spectral_value": 44.0, '
+        '"sum_counts": 36, "sum_squares": 44}\n',
+        "N,a,cell_w,cell_h,domain,sum_counts,sum_squares,"
+        "expected_mean_cell,k0_term,edge_points,spectral_value\r\n"
+        "1,7,3,2,full-torus-q2,36,44,0.7346938775510204,"
+        "26.448979591836736,0,44.0\r\n"),
+    "kloosterman 1 1 3": (0,
+        "S(1, 1, 3) = -1 (imag residual 3.331e-16)\n",
+        '{"a": 3, "imag_residual": 3.3306690738754696e-16, '
+        '"m": 1, "n": 1, "value": -1.0000000000000002}\n',
+        "m,n,a,value,imag_residual\r\n"
+        "1,1,3,-1.0000000000000002,3.3306690738754696e-16\r\n"),
+    "scan-deviation 1 1009 --trials 200 --seed 42": (0,
+        "N=1 a=1009 trials=200 seed=42\n"
+        "max |count - expected| = 16.42007168388369\n"
+        "mean |count - expected| = 2.9078986200508607\n",
+        '{"N": 1, "a": 1009, "max_abs_dev": 16.42007168388369, '
+        '"mean_abs_dev": 2.9078986200508607, "seed": 42, "trials": 200}\n',
+        "N,a,trials,seed,max_abs_dev,mean_abs_dev\r\n"
+        "1,1009,200,42,16.42007168388369,2.9078986200508607\r\n"),
+    "polyfactor 77 6 1": (0,
+        "77 = 7 * 11\n",
+        '{"N": 77, "a": 6, "d": 1, "kind": "composite", "u": 7, '
+        '"v": 11}\n',
+        "N,a,d,kind,u,v\r\n"
+        "77,6,1,composite,7,11\r\n"),
+    "polyfactor 77 4 2": (1,
+        "no degree-2 split found for 77\n",
+        '{"N": 77, "a": 4, "d": 2, "kind": "none"}\n',
+        "N,a,d,kind,u,v\r\n"
+        "77,4,2,none,,\r\n"),
+}
+
+# Command lines that fail alike in every format: (exit code, stderr),
+# with stdout empty.
+GOLDEN_ERRORS = {
+    "factor 9223425193517700287": (4,
+        "input outside the supported range: hide-seek kernels "
+        "require N < 2**63\n"),
+    "moment 1 7 --cell 3 --spectral": (2,
+        "--spectral requires --rect (full-torus domain)\n"),
+    "factor 0": (2,
+        "N must be >= 1\n"),
+}
+
+FORMATS = ("plain", "json", "csv")
+
+
+def mask_micros(out):
+    """Zero the one field that varies between runs: micros in the factor
+    JSON, and the micros column under the bench CSV header."""
+    out = re.sub(r'"micros": \d+', '"micros": 0', out)
+    if out.startswith(",".join(BENCH_COLUMNS)):
+        skip = BENCH_COLUMNS.index("micros")
+        out = re.sub(r"^((?:[^,\r\n]*,){%d})\d+," % skip, r"\g<1>0,", out,
+                     flags=re.M)
+    return out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("line", GOLDEN)
+def test_golden_output(capsys, line, fmt):
+    code, *outs = GOLDEN[line]
+    got_code, out, err = run_cli(capsys, *line.split(), "--format", fmt)
+    assert (got_code, mask_micros(out), err) == (
+        code, outs[FORMATS.index(fmt)], "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("line", GOLDEN_ERRORS)
+def test_golden_errors(capsys, line, fmt):
+    code, err = GOLDEN_ERRORS[line]
+    assert run_cli(capsys, *line.split(), "--format", fmt) == (code, "", err)
+
+
+def test_bench_csv_golden(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    run_cli(capsys, "bench", "--nmin", "100000", "--nmax", "1000000",
+            "--samples", "3", "--seed", "7", "--csv", path)
+    assert mask_micros(path.read_bytes().decode()) == (
+        "N,method,a,w,h,points_enumerated,pairs_checked,micros,u,v\r\n"
+        "345641,balanced,89,10,10,128,412,0,421,821\r\n"
+        "259139,balanced,81,9,9,86,196,0,479,541\r\n"
+        "239021,balanced,79,9,9,102,224,0,479,499\r\n")
 
 
 def test_factor_plain(capsys):

@@ -1,6 +1,6 @@
 """The cell grid over the a-by-a square: bucketing (_kernels.bucket_csr),
-the wrap flags of _kernels.axis_neighbor_table, and the neighbor pairs of
-the reference in oracle.py."""
+the neighbor cells and wrap flags of _kernels.axis_neighbor_table, and the
+neighbor pairs of the reference in oracle.py."""
 
 import random
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from hideseek._kernels import axis_neighbor_table, bucket_csr
 from hideseek.solutions import solve_all
-from oracle import neighbor_pairs
+from oracle import axis_neighbors, neighbor_pairs
 
 
 def cells_of(pts, a, w, h):
@@ -69,6 +69,24 @@ def test_bucket_tiles_exactly():
             for x, y in cell_pts:
                 assert i * w <= x < min((i + 1) * w, a)
                 assert j * h <= y < min((j + 1) * h, a)
+
+
+def test_axis_neighbor_table_matches_oracle():
+    """The kernels' neighbor cells are the oracle's, on every cell of axes
+    with truncated last cells of every width (the seam cases of the gap
+    rule) and at radii up to the whole axis."""
+    rng = random.Random(4)
+    for _ in range(300):
+        cell = rng.randrange(1, 12)
+        ncells = rng.randrange(1, 40)
+        a = (ncells - 1) * cell + rng.randrange(1, cell + 1)
+        radius = rng.choice((1, 1, 2, 3, ncells))
+        nbr, _ = axis_neighbor_table(ncells, cell, a, radius)
+        want = axis_neighbors(ncells, cell, a, radius)
+        for ci in range(ncells):
+            got = [c for c in nbr[ci].tolist() if c >= 0]
+            assert len(got) == len(set(got)) and set(got) == want[ci], (
+                ncells, cell, a, radius, ci)
 
 
 def test_neighbor_pairs_single_cell():
