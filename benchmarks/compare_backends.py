@@ -5,6 +5,8 @@ Both implementations of each doubled kernel live in hideseek._kernels
 regardless of which one the HIDESEEK_BACKEND flag selects, so a single
 process can benchmark the two side by side: batch inversion over the
 units of m, and bucketing and the pair scan of a balanced factor scan.
+The neighbor tables are built once, outside the timed calls, and both
+pair scans get the same arguments.  Needs numba.
 
 Usage: python benchmarks/compare_backends.py [--repeat K]
 """
@@ -59,12 +61,14 @@ def bench_factor_scan(repeat):
         grid = (b, b, cols, cols, 0, cols)
         bx, by = K.hyperbola_points(n, a)
         sx, sy = K.hyperbola_points(n, a - 1)
+        args = (*K._bucket_csr_np(bx, by, *grid),
+                *K._bucket_csr_np(sx, sy, *grid),
+                *K._neighbor_tables(cols, cols, b, b, a, 1, 1, 0, cols,
+                                    0, cols), a, n, a - 1)
         tag = f"N~1e{len(str(target)) - 1}"
         times = []
         for bucket, scan in ((K._bucket_csr_loop, K._pair_scan_csr_loop),
                              (K._bucket_csr_np, K._pair_scan_csr_np)):
-            args = (*bucket(bx, by, *grid), *bucket(sx, sy, *grid),
-                    cols, cols, b, b, a, 1, 1, n, a - 1, 0, 0)
             times.append((timeit(lambda: bucket(bx, by, *grid), repeat),
                           timeit(lambda: scan(*args), repeat)))
         (bucket_nb, scan_nb), (bucket_np, scan_np) = times

@@ -34,11 +34,15 @@ admits points closer than r*cell_w.  Raw index distance <= r always
 qualifies; index distance r+1 qualifies only across the wrap seam where
 the thin truncated column eats less than a full cell of distance.
 Without the gap rule, two points within cell_w of each other (wrapped)
-can sit two index steps apart and the scan would miss them.
+can sit two index steps apart and the scan would miss them.  The rule is
+computed once, in numpy (_axis_steps), and _neighbor_tables hands its
+(step, cell) tables to whichever pair scan is bound; neither scan
+applies the rule itself.
 
 bucket_csr and pair_scan_csr also work on windows of whole grid columns
 (wrapping mod cols) against the whole grid's neighbor tables, so strip
 mode can run the full-mode scan window by window in bounded memory.
+_neighbor_tables maps the base window's columns into the shifted window.
 """
 
 from __future__ import annotations
@@ -117,6 +121,28 @@ def axis_neighbor_table(ncells: int, cell: int, a: int, radius: int
     return nbr, wrapped
 
 
+def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor tables both pair scans read, laid out (step, cell):
+    nx[:, i] lists the shifted-window columns next to base-window column
+    i (grid column (bc0 + i) mod cols, against the sk columns from sc0),
+    ny[:, j] the rows next to row j; -1 where a step adds no cell or
+    leaves the shifted window."""
+    _, nx, keep = _axis_steps(cols, cell_w, a, dxc)
+    nx[~keep] = -1
+    # square grids share one table
+    if (rows, cell_h, dyc) == (cols, cell_w, dxc):
+        ny = nx
+    else:
+        _, ny, keep = _axis_steps(rows, cell_h, a, dyc)
+        ny[~keep] = -1
+    # columns of the base window, as columns of the shifted window
+    nx = np.take(nx, (bc0 + np.arange(bk)) % cols, axis=1)
+    win = (nx - sc0) % cols
+    win[(nx < 0) | (win >= sk)] = -1
+    return win, ny
+
+
 # ---------------------------------------------------------------------------
 # loop implementations (compiled with numba when available)
 # ---------------------------------------------------------------------------
@@ -179,69 +205,35 @@ def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     return ox, oy, starts
 
 
-def _axis_neighbors_loop(ci, ncells, cell, a, radius, out):
-    """Fill `out` with the gap-filtered neighbor cells of ci; return count."""
-    k = 0
-    for di in range(-radius - 1, radius + 2):
-        raw = ci + di
-        c2 = raw % ncells
-        dup = False
-        for t in range(k):
-            if out[t] == c2:
-                dup = True
-                break
-        if dup:
-            continue
-        if di < -radius or di > radius:
-            s1 = ci * cell
-            e1 = s1 + cell
-            if e1 > a:
-                e1 = a
-            s2 = c2 * cell
-            e2 = s2 + cell
-            if e2 > a:
-                e2 = a
-            gap_r = (s2 - e1 + 1) % a
-            gap_l = (s1 - e2 + 1) % a
-            gap = gap_r if gap_r < gap_l else gap_l
-            if gap > radius * cell - 1:
-                continue
-        out[k] = c2
-        k += 1
-    return k
-
-
-def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                        cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0):
-    """Check every base/shifted pair in wrapped cell neighborhoods.
+def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
+    """Check every base/shifted pair in the neighbor cells the tables
+    list (see _neighbor_tables).
 
     Returns (u, v, pairs_checked) with (u, v) the lexicographically
     smallest verified split, or (0, 0, pairs) when none verifies.
     """
-    bk = (bstarts.size - 1) // rows
+    rows = ny.shape[1]
+    bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
     best_u = np.int64(0)
     best_v = np.int64(0)
     pairs = np.int64(0)
-    nis = np.empty(2 * dxc + 3, dtype=np.int64)
-    njs = np.empty(2 * dyc + 3, dtype=np.int64)
     for cj in range(rows):
-        nny = _axis_neighbors_loop(cj, rows, cell_h, a, dyc, njs)
         row0 = cj * bk
         for ci in range(bk):
             cid = row0 + ci
             b0, b1 = bstarts[cid], bstarts[cid + 1]
             if b0 == b1:
                 continue
-            nnx = _axis_neighbors_loop((bc0 + ci) % cols, cols, cell_w, a,
-                                       dxc, nis)
-            for oj in range(nny):
-                nrow0 = njs[oj] * sk
-                for oi in range(nnx):
-                    si = (nis[oi] - sc0) % cols
-                    if si >= sk:
+            for oj in range(ny.shape[0]):
+                nj = ny[oj, cj]
+                if nj < 0:
+                    continue
+                for oi in range(nx.shape[0]):
+                    si = nx[oi, ci]
+                    if si < 0:
                         continue
-                    nid = nrow0 + si
+                    nid = nj * sk + si
                     s0, s1 = sstarts[nid], sstarts[nid + 1]
                     for t in range(b0, b1):
                         x0 = bx[t]
@@ -389,15 +381,15 @@ def _verified_split(x0, y0, du, dv, a, n, m2):
     return best
 
 
-def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                      cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0):
+def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
     """Same contract as _pair_scan_csr_loop, by ragged expansion.
 
     Base points are taken in CSR (row-major cell) order, _SCAN_CHUNK
     candidates at a time; each point's non-empty neighbor cells then
     expand into point pairs, again at most _SCAN_CHUNK at a time.
     """
-    bk = (bstarts.size - 1) // rows
+    rows = ny.shape[1]
+    bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
     bcell = np.repeat(np.arange(bk * rows, dtype=np.int64),
                       np.diff(bstarts))
@@ -408,26 +400,13 @@ def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     first = np.zeros_like(count)
     first[:rows, :sk] = sstarts[:-1].reshape(rows, sk)
     count, first = count.ravel(), first.ravel()
-    # neighbor cells by (step, cell), -1 where a step adds none; square
-    # grids share one table
-    _, nx_tab, keep = _axis_steps(cols, cell_w, a, dxc)
-    nx_tab[~keep] = -1
-    if (rows, cell_h, dyc) == (cols, cell_w, dxc):
-        ny_tab = nx_tab
-    else:
-        _, ny_tab, keep = _axis_steps(rows, cell_h, a, dyc)
-        ny_tab[~keep] = -1
-    # columns of the base window, as columns of the shifted window
-    nx_tab = np.take(nx_tab, (bc0 + np.arange(bk)) % cols, axis=1)
-    nx_win = (nx_tab - sc0) % cols
-    nx_win[(nx_tab < 0) | (nx_win >= sk)] = -1
-    step = max(1, _SCAN_CHUNK // (nx_tab.shape[0] * ny_tab.shape[0]))
+    step = max(1, _SCAN_CHUNK // (nx.shape[0] * ny.shape[0]))
     pairs = 0
     best = None
     for lo in range(0, bcell.size, step):
         cid = bcell[lo:lo + step]
-        nj = np.take(ny_tab, cid // bk, axis=1) * (sk + 1)
-        ni = np.take(nx_win, cid % bk, axis=1)
+        nj = np.take(ny, cid // bk, axis=1) * (sk + 1)
+        ni = np.take(nx, cid % bk, axis=1)
         cell = (nj[:, None, :] + ni[None, :, :]).ravel()
         seg = count[cell]
         k = np.flatnonzero(seg > 0)
@@ -462,7 +441,6 @@ def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, cols, rows,
 
 if HAVE_NUMBA:
     _inv_mod_i64 = njit(cache=True)(_inv_mod_i64)
-    _axis_neighbors_loop = njit(cache=True)(_axis_neighbors_loop)
     _inverses = _inverses_for_loop = njit(cache=True)(_inverses_for_loop)
     _bucket = _bucket_csr_loop = njit(cache=True)(_bucket_csr_loop)
     _pair_scan = _pair_scan_csr_loop = njit(cache=True)(_pair_scan_csr_loop)
@@ -529,8 +507,11 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     the sets may be bucketed over column windows from bc0 and sc0 (see
     bucket_csr), and base points meet the neighbor cells in the shifted
     window."""
-    u, v, pairs = _pair_scan(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                             cell_w, cell_h, a, dxc, dyc, n, m2, bc0, sc0)
+    nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                              bc0, (bstarts.size - 1) // rows,
+                              sc0, (sstarts.size - 1) // rows)
+    u, v, pairs = _pair_scan(bx, by, bstarts, sx, sy, sstarts, nx, ny,
+                             a, n, m2)
     return int(u), int(v), int(pairs)
 
 
@@ -551,7 +532,8 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
     u, v, pairs = _pair_scan(
         *_bucket(bx, by, cell_w, cell_h, cols, rows, 0, cols),
         *_bucket(sx, sy, cell_w, cell_h, cols, rows, 0, cols),
-        cols, rows, cell_w, cell_h, a, dxc, dyc, n, m2, 0, 0)
+        *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                          0, cols, 0, cols), a, n, m2)
     return int(u), int(v), bx.size + sx.size, int(pairs)
 
 

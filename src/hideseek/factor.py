@@ -82,8 +82,11 @@ class Unit:
 
 @dataclass
 class FactorStats:
-    """Work counters filled in by the hide-seek operations; points and
-    pairs sum over the widths tried and the solution arrays enumerated."""
+    """Work counters the hide-seek operations add to; points and pairs sum
+    over the widths tried and the solution arrays enumerated.  In strip
+    mode points counts work done: once a width needs more than one column
+    window, each window counts the bk + 4 shifted columns it enumerates,
+    so points exceeds full mode's while pairs and the split stay equal."""
 
     method: str = ""
     a: int = 0
@@ -142,7 +145,8 @@ def hide_seek_balanced(N: int, strip_mode: bool = False,
         return _strip_scan(N, a, b, b, 1, stats)
     u, v, pts, pairs = _kernels.hyperbola_scan(N, a, a - 1, b, b, 1, 1)
     if stats is not None:
-        stats.points, stats.pairs = pts, pairs
+        stats.points += pts
+        stats.pairs += pairs
     return Factorization(N, u, v) if u else None
 
 

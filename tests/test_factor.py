@@ -276,6 +276,21 @@ def test_factor_stats_populated():
     assert st.points == widths * (euler_phi(st.a) + euler_phi(st.a - 1))
 
 
+def test_balanced_stats_add_up_across_calls():
+    """One FactorStats reused for two calls holds twice one call's
+    counters, in full and strip mode alike."""
+    n = 1000003 * 1000033
+    once = FactorStats()
+    hide_seek_balanced(n, stats=once)
+    for strip in (False, True):
+        st = FactorStats()
+        for _ in range(2):
+            assert hide_seek_balanced(n, strip_mode=strip, stats=st) == (
+                Factorization(n, 1000003, 1000033))
+        assert (st.points, st.pairs) == (2 * once.points, 2 * once.pairs), (
+            strip)
+
+
 def _oracle_scan(n, a, cell_w, cell_h, dxc, dyc):
     """(split or None, pairs) of the reference: solve_all points, the
     neighbor pairs of oracle.py and check_candidate on each pair."""

@@ -1,12 +1,14 @@
 """The cell grid over the a-by-a square: bucketing (_kernels.bucket_csr),
-the neighbor cells and wrap flags of _kernels.axis_neighbor_table, and the
-neighbor pairs of the reference in oracle.py."""
+the neighbor cells and wrap flags of _kernels.axis_neighbor_table, the
+window tables of _kernels._neighbor_tables, and the neighbor pairs of the
+reference in oracle.py."""
 
 import random
 
 import numpy as np
 
-from hideseek._kernels import axis_neighbor_table, bucket_csr
+from hideseek._kernels import (_neighbor_tables, axis_neighbor_table,
+                               bucket_csr)
 from hideseek.solutions import solve_all
 from oracle import axis_neighbors, neighbor_pairs
 
@@ -87,6 +89,42 @@ def test_axis_neighbor_table_matches_oracle():
             got = [c for c in nbr[ci].tolist() if c >= 0]
             assert len(got) == len(set(got)) and set(got) == want[ci], (
                 ncells, cell, a, radius, ci)
+
+
+def test_neighbor_tables_match_oracle():
+    """The tables both pair scans read: column i of nx holds the oracle's
+    neighbors of grid column (bc0 + i) mod cols that fall in the sk
+    shifted columns from sc0, as shifted-window columns, and column j of
+    ny the oracle's neighbors of row j; each once, -1 elsewhere.  Random
+    square and rectangular grids, wrapping windows and whole-grid ones."""
+    rng = random.Random(8)
+
+    def cells(col):
+        got = [c for c in col.tolist() if c >= 0]
+        assert len(got) == len(set(got))
+        return set(got)
+
+    for trial in range(200):
+        cell_w = rng.randrange(1, 12)
+        cols = rng.randrange(1, 30)
+        a = (cols - 1) * cell_w + rng.randrange(1, cell_w + 1)
+        cell_h = cell_w if trial % 2 else rng.randrange(1, a + 1)
+        rows = -(-a // cell_h)
+        dxc, dyc = rng.choice(((1, 1), (1, 2)))
+        bc0, bk = rng.randrange(cols), rng.randrange(1, cols + 1)
+        sc0 = rng.randrange(cols)
+        sk = cols if trial % 3 == 0 else rng.randrange(1, cols + 1)
+        nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                                  bc0, bk, sc0, sk)
+        assert nx.shape[1] == bk and ny.shape[1] == rows
+        col_nbrs = axis_neighbors(cols, cell_w, a, dxc)
+        for i in range(bk):
+            want = {(c - sc0) % cols for c in col_nbrs[(bc0 + i) % cols]}
+            assert cells(nx[:, i]) == {c for c in want if c < sk}, (
+                cols, cell_w, a, dxc, bc0, bk, sc0, sk, i)
+        row_nbrs = axis_neighbors(rows, cell_h, a, dyc)
+        for j in range(rows):
+            assert cells(ny[:, j]) == row_nbrs[j], (rows, cell_h, a, dyc, j)
 
 
 def test_neighbor_pairs_single_cell():
