@@ -37,12 +37,15 @@ Without the gap rule, two points within cell_w of each other (wrapped)
 can sit two index steps apart and the scan would miss them.  The rule is
 computed once, in numpy (_axis_steps), and _neighbor_tables hands its
 (step, cell) tables to whichever pair scan is bound; neither scan
-applies the rule itself.
+applies the rule itself.  Only the radius+1 cells at each end of an axis
+can pass the gap test, so _axis_steps evaluates it only there, at the
+seam.
 
 bucket_csr and pair_scan_csr also work on windows of whole grid columns
 (wrapping mod cols) against the whole grid's neighbor tables, so strip
 mode can run the full-mode scan window by window in bounded memory.
-_neighbor_tables maps the base window's columns into the shifted window.
+_neighbor_tables maps the base window's columns into the shifted window;
+a whole-grid window, the full-mode case, skips that remap.
 """
 
 from __future__ import annotations
@@ -82,22 +85,33 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
     marks the steps that reach a cell no earlier step reached and, when
     |d| > radius, pass the wrapped-gap test.  Visiting smaller steps
     first makes the kept step the nearest route.
+
+    Only the radius+1 cells at each end of the axis have steps that wrap
+    mod ncells or pass the gap test: from any other cell a step of
+    radius+1 spans radius whole cells, either way round.  So both the
+    wrap and the gap test run on those cells alone.
     """
     steps = sorted(range(-radius - 1, radius + 2), key=lambda d: (abs(d), d))
     ci = np.arange(ncells, dtype=np.int64)
     raw = np.array(steps, dtype=np.int64)[:, None] + ci
-    c2 = raw % ncells
+    # only the radius+1 cells at each end of the axis have steps that wrap
+    r1 = radius + 1
+    ends = ci if ncells <= 2 * r1 else np.arange(-r1, r1) % ncells
+    c2 = raw.copy()
+    c2[:, ends] %= ncells
     keep = np.empty(raw.shape, dtype=bool)
     # steps congruent mod ncells reach the same cell from every ci
     keep[:] = np.array([all((d - e) % ncells for e in steps[:j])
                         for j, d in enumerate(steps)])[:, None]
     # the last two rows are the steps -(radius+1), radius+1
-    s1 = ci * cell
+    s1 = ends * cell
     e1 = np.minimum(s1 + cell, a)
-    s2 = c2[-2:] * cell
+    s2 = c2[-2:, ends] * cell
     e2 = np.minimum(s2 + cell, a)
     gap = np.minimum((s2 - e1 + 1) % a, (s1 - e2 + 1) % a)
-    keep[-2:] &= gap <= radius * cell - 1
+    seam = keep[-2:, ends] & (gap <= radius * cell - 1)
+    keep[-2:] = False
+    keep[-2:, ends] = seam
     return raw, c2, keep
 
 
@@ -127,7 +141,8 @@ def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
     nx[:, i] lists the shifted-window columns next to base-window column
     i (grid column (bc0 + i) mod cols, against the sk columns from sc0),
     ny[:, j] the rows next to row j; -1 where a step adds no cell or
-    leaves the shifted window."""
+    leaves the shifted window.  Whole-grid windows (bc0 = sc0 = 0,
+    bk = sk = cols) map every column onto itself and skip the remap."""
     _, nx, keep = _axis_steps(cols, cell_w, a, dxc)
     nx[~keep] = -1
     # square grids share one table
@@ -136,6 +151,8 @@ def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
     else:
         _, ny, keep = _axis_steps(rows, cell_h, a, dyc)
         ny[~keep] = -1
+    if (bc0, bk, sc0, sk) == (0, cols, 0, cols):
+        return nx, ny
     # columns of the base window, as columns of the shifted window
     nx = np.take(nx, (bc0 + np.arange(bk)) % cols, axis=1)
     win = (nx - sc0) % cols

@@ -271,7 +271,7 @@ def test_factor_stats_populated():
     assert st.method == "general"
     assert st.a == ceil_cbrt(n)
     assert st.pairs > 0
-    # each width w = 2, 4, ..., st.w enumerates both solution sets
+    # points counts both solution sets once per width w = 2, 4, ..., st.w
     widths = st.w.bit_length() - 1
     assert st.points == widths * (euler_phi(st.a) + euler_phi(st.a - 1))
 
@@ -289,6 +289,30 @@ def test_balanced_stats_add_up_across_calls():
                 Factorization(n, 1000003, 1000033))
         assert (st.points, st.pairs) == (2 * once.points, 2 * once.pairs), (
             strip)
+
+
+def test_general_enumerates_once_per_n(monkeypatch):
+    """Full-mode hide_seek_general enumerates each solution set once per
+    call, however many widths it tries."""
+    from hideseek import _kernels
+
+    calls = []
+    points = _kernels.hyperbola_points
+
+    def counted(*args):
+        calls.append(args)
+        return points(*args)
+
+    monkeypatch.setattr(_kernels, "hyperbola_points", counted)
+    n = 1000003 * 1500007
+    a = ceil_cbrt(n)
+    for _ in range(2):
+        st = FactorStats()
+        calls.clear()
+        assert hide_seek_general(n, stats=st) == Factorization(
+            n, 1000003, 1500007)
+        assert st.w >= 8  # at least three widths
+        assert calls == [(n, a), (n, a - 1)]
 
 
 def _oracle_scan(n, a, cell_w, cell_h, dxc, dyc):
@@ -309,7 +333,9 @@ def test_kernel_matches_composed_scan():
     """The kernel scan finds the same split and checks the same number of
     pairs as the reference (solve_all + neighbor_pairs + check_candidate),
     on the balanced cells at radius 1 and the general variant's
-    (w, max(1, a // w)) cells at radii (1, 2)."""
+    (w, max(1, a // w)) cells at radii (1, 2); hide_seek_general, in full
+    and strip mode, finds the oracle's split at the first width that has
+    one, and its pairs sum the oracle's over the widths tried."""
     rng = random.Random(18)
     for _ in range(40):
         n, p, q = balanced_semiprime(rng, 10 ** 8)
@@ -329,6 +355,7 @@ def test_kernel_matches_composed_scan():
         if p <= a or gcd(n, a * (a - 1)) > 1:
             continue
         done += 1
+        found, total, widths = None, 0, 0
         w = 2
         while w <= a:  # the widths hide_seek_general tries
             h = max(1, a // w)
@@ -336,4 +363,13 @@ def test_kernel_matches_composed_scan():
             assert hyperbola_scan(n, a, a - 1, w, h, 1, 2) == (
                 *(split or (0, 0)), euler_phi(a) + euler_phi(a - 1),
                 pairs), (n, w)
+            if found is None:
+                found, total, widths = split, total + pairs, widths + 1
             w *= 2
+        for strip in (False, True):
+            st = FactorStats()
+            got = hide_seek_general(n, strip_mode=strip, stats=st)
+            assert (got.u, got.v) == found, (n, strip)
+            assert (st.w, st.pairs) == (1 << widths, total), (n, strip)
+            if not strip:
+                assert st.points == widths * (euler_phi(a) + euler_phi(a - 1))

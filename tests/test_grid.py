@@ -29,6 +29,17 @@ def cells_of(pts, a, w, h):
     return out
 
 
+def check_axis(ncells, cell, a, radius, cis=None):
+    """axis_neighbor_table lists the oracle's neighbors of each cell in
+    cis (default all), each once."""
+    nbr, _ = axis_neighbor_table(ncells, cell, a, radius)
+    want = axis_neighbors(ncells, cell, a, radius)
+    for ci in range(ncells) if cis is None else cis:
+        got = [c for c in nbr[ci].tolist() if c >= 0]
+        assert len(got) == len(set(got)) and set(got) == want[ci], (
+            ncells, cell, a, radius, ci)
+
+
 def wrapped(ncells, cell, a, radius, ci, ni):
     """Whether axis_neighbor_table reaches cell ni from ci across the seam."""
     nbr, wrap = axis_neighbor_table(ncells, cell, a, radius)
@@ -74,21 +85,27 @@ def test_bucket_tiles_exactly():
 
 
 def test_axis_neighbor_table_matches_oracle():
-    """The kernels' neighbor cells are the oracle's, on every cell of axes
-    with truncated last cells of every width (the seam cases of the gap
-    rule) and at radii up to the whole axis."""
-    rng = random.Random(4)
-    for _ in range(300):
-        cell = rng.randrange(1, 12)
-        ncells = rng.randrange(1, 40)
-        a = (ncells - 1) * cell + rng.randrange(1, cell + 1)
-        radius = rng.choice((1, 1, 2, 3, ncells))
-        nbr, _ = axis_neighbor_table(ncells, cell, a, radius)
-        want = axis_neighbors(ncells, cell, a, radius)
-        for ci in range(ncells):
-            got = [c for c in nbr[ci].tolist() if c >= 0]
-            assert len(got) == len(set(got)) and set(got) == want[ci], (
-                ncells, cell, a, radius, ci)
+    """The kernels' neighbor cells are the oracle's, on every cell of
+    every axis of 1..40 cells of width 1..11 with every truncation of the
+    last cell (the seam cases of the gap rule, which the kernels test
+    only at the ends of the axis), at radii 1..3 and the whole axis."""
+    for ncells in range(1, 41):
+        for cell in range(1, 12):
+            for last in range(1, cell + 1):
+                for radius in (1, 2, 3, ncells):
+                    check_axis(ncells, cell, (ncells - 1) * cell + last,
+                               radius)
+
+
+def test_axis_neighbor_table_long_axis():
+    """The column axis of the general variant's first width at N ~ 1e16
+    (cell 2, the last cell truncated to one point): the end cells and a
+    sample of the interior match the oracle."""
+    a, cell = 215443, 2
+    ncells = -(-a // cell)
+    rng = random.Random(9)
+    check_axis(ncells, cell, a, 1, [*range(4), *range(ncells - 4, ncells),
+                                    *rng.sample(range(4, ncells - 4), 500)])
 
 
 def test_neighbor_tables_match_oracle():
@@ -96,7 +113,8 @@ def test_neighbor_tables_match_oracle():
     neighbors of grid column (bc0 + i) mod cols that fall in the sk
     shifted columns from sc0, as shifted-window columns, and column j of
     ny the oracle's neighbors of row j; each once, -1 elsewhere.  Random
-    square and rectangular grids, wrapping windows and whole-grid ones."""
+    square and rectangular grids, wrapping windows and whole-grid ones,
+    which skip the remap."""
     rng = random.Random(8)
 
     def cells(col):
@@ -114,6 +132,8 @@ def test_neighbor_tables_match_oracle():
         bc0, bk = rng.randrange(cols), rng.randrange(1, cols + 1)
         sc0 = rng.randrange(cols)
         sk = cols if trial % 3 == 0 else rng.randrange(1, cols + 1)
+        if trial % 5 == 4:  # the whole-grid window of full mode
+            bc0, bk, sc0, sk = 0, cols, 0, cols
         nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
                                   bc0, bk, sc0, sk)
         assert nx.shape[1] == bk and ny.shape[1] == rows
