@@ -11,16 +11,27 @@ Only the hot loops exist twice: batch inversion, bucketing and the pair
 scan, as plain loops that numba compiles and as numpy code.  The loop
 versions are also the reference the tests hold the numpy ones to.  The
 active backend's three kernels are bound once at import (_inverses,
-_bucket, _pair_scan); everything else, the one solution enumerator
-_points included, is shared numpy code.  `benchmarks/compare_backends.py`
+_bucket, _pair_scan); everything else, the solution enumerator _points
+included, is shared numpy code.  `benchmarks/compare_backends.py`
 times the twins against each other.
 
 The numpy twins of the first two do linear work, as the loops do: batch
 inversion scans the prefix and suffix products as two rows of one
 blocked scan (_modprod_scan, about 2 multiplications per value), and
-bucketing is two stable sorts, by window column and then by row, where
-the first meets callers' points already in order and the second is a
-radix sort on uint16 rows.
+bucketing is one stable radix sort on uint16 cell ids where the cells
+fit, else two stable sorts, by window column and then by row, where the
+first meets callers' points already in order and the second is a radix
+sort on uint16 rows.  The whole-grid enumeration of both sets, mod a and
+mod a-1, shares one batch inversion mod a*(a-1) while that fits the
+kernels' modulus range (_point_sets).
+
+The numpy pair scan costs about one pass per candidate: shifted cells
+are row-major, so a base column's neighbor columns in one shifted row,
+a circular run, are one contiguous index range (two where the run wraps
+past the window's last column).  Each (base point, y-step) pair expands
+one range, in cache-sized blocks, and a pair's base-a x digit has one
+candidate value, plus a second only where the two x coordinates are
+equal, so one n % u on positive divisors rejects nearly every pair.
 
 All kernels work in int64.  Callers guarantee N < 2**63 and modulus
 m < 2**31, so every intermediate product here fits in int64 (products of
@@ -94,15 +105,19 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
     steps = sorted(range(-radius - 1, radius + 2), key=lambda d: (abs(d), d))
     ci = np.arange(ncells, dtype=np.int64)
     raw = np.array(steps, dtype=np.int64)[:, None] + ci
+    keep = np.ones(raw.shape, dtype=bool)
     # only the radius+1 cells at each end of the axis have steps that wrap
     r1 = radius + 1
-    ends = ci if ncells <= 2 * r1 else np.arange(-r1, r1) % ncells
+    if ncells > 2 * r1:
+        ends = np.arange(-r1, r1) % ncells
+    else:
+        ends = ci
+        # the 2*r1 + 1 steps are distinct mod ncells on longer axes;
+        # congruent ones reach the same cell from every ci
+        keep[:] = np.array([all((d - e) % ncells for e in steps[:j])
+                            for j, d in enumerate(steps)])[:, None]
     c2 = raw.copy()
     c2[:, ends] %= ncells
-    keep = np.empty(raw.shape, dtype=bool)
-    # steps congruent mod ncells reach the same cell from every ci
-    keep[:] = np.array([all((d - e) % ncells for e in steps[:j])
-                        for j, d in enumerate(steps)])[:, None]
     # the last two rows are the steps -(radius+1), radius+1
     s1 = ends * cell
     e1 = np.minimum(s1 + cell, a)
@@ -340,113 +355,168 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     """Same contract as _bucket_csr_loop: points stable by (row, window
     column) for any input order, so in input order within a cell.
 
-    Two stable passes, window column then row.  Callers pass points in
-    window-column order, where the first pass meets a single sorted run;
-    rows fit uint16 up to 2**16 rows, where numpy's stable sort is a
-    radix sort.
+    Up to 2**16 cells, one stable sort by cell id, which fits uint16,
+    where numpy's stable sort is a radix sort.  Beyond, two stable
+    passes, window column then row: callers pass points in window-column
+    order, where the first pass meets a single sorted run, and rows fit
+    uint16 up to 2**16 rows.
     """
     ncells = k * rows
-    col = (xs // cell_w - c0) % cols
+    col = xs // cell_w
+    if c0:
+        col = (col - c0) % cols
     row = ys // cell_h
-    counts = np.bincount(row * k + col, minlength=ncells)
-    order = np.argsort(col, kind="stable")
-    row = row[order]
-    if rows <= 1 << 16:
-        row = row.astype(np.uint16)
-    order = order[np.argsort(row, kind="stable")]
+    cid = row * k + col
+    counts = np.bincount(cid, minlength=ncells)
+    if ncells <= 1 << 16:
+        order = np.argsort(cid.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(col, kind="stable")
+        row = row[order]
+        if rows <= 1 << 16:
+            row = row.astype(np.uint16)
+        order = order[np.argsort(row, kind="stable")]
     starts = np.zeros(ncells + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return xs[order], ys[order], starts
 
 
-# Upper bound on the (base point, neighbor cell) candidates, and on the
-# point pairs unless one base point meets more in a single neighbor cell,
-# that the numpy pair scan expands at once.  Holds its temporaries to
-# tens of MB at any N, while a balanced scan up to N = 1e12 (under 2**17
-# candidates) still runs as one chunk.
+# Two sizes from one budget.  _SCAN_CHUNK sizes strip mode's column
+# windows, about that many points of each set per window.  The numpy pair
+# scan expands a quarter of it at a time, both (base point, y-step)
+# ranges and point pairs: its temporaries of 2**16 int64s, half a MB,
+# stay in cache, and blocks of 2**18 made factor at N ~ 1e16 about a
+# quarter slower.
 _SCAN_CHUNK = 1 << 18
 
 
-def _segment_ids(lengths: np.ndarray) -> np.ndarray:
-    """Segment index of each element when segments of the given positive
-    lengths are laid end to end (a scatter and a cumsum, no repeat)."""
-    ends = np.cumsum(lengths)
-    ids = np.zeros(int(ends[-1]), dtype=np.int64)
-    ids[ends[:-1]] = 1
-    return np.cumsum(ids, out=ids)
+def _column_runs(nx: np.ndarray, sk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each base column's kept shifted-window columns, read off the nx
+    table as one circular run mod sk, as (lo, end) of length 2*bk:
+    column i's run is [lo[i], end[i]), followed where it wraps past
+    column sk - 1 by [lo[bk + i], end[bk + i]) = [0, end2); every other
+    range is empty.
+
+    A column's steps are consecutive offsets, so its neighbors form one
+    arc of the grid's circle, and the part of an arc inside a window of
+    columns is one run mod sk (tests/test_grid.py holds the tables to
+    this)."""
+    bk = nx.shape[1]
+    # window columns fit int32, which halves these full-width arrays
+    lo = np.zeros(2 * bk, dtype=np.int32)
+    end = np.zeros(2 * bk, dtype=np.int32)
+    # as uint64 the -1 entries are the largest values, so never the min
+    np.maximum(nx.view(np.uint64).min(axis=0).view(np.int64), 0,
+               out=lo[:bk], casting="unsafe")
+    np.add(nx.max(axis=0), 1, out=end[:bk], casting="unsafe")
+    # a run holding columns 0 and sk - 1 but not all sk wraps, and
+    # starts right after the columns it lacks: only the few columns at
+    # the seam, so this runs on Python ints
+    for c in np.flatnonzero((lo[:bk] == 0) & (end[:bk] == sk)).tolist():
+        kept = {v for v in nx[:, c].tolist() if v >= 0}
+        if len(kept) < sk:
+            end2 = min(set(range(len(kept) + 1)) - kept)
+            lo[c] = end2 + sk - len(kept)
+            end[bk + c] = end2
+    return lo, end
 
 
-def _verified_split(x0, y0, du, dv, a, n, m2):
-    """Smallest (lo, hi) reconstructed from the pairs' digits, or None."""
+def _verified_split(bx, by, sx, sy, t, s0, seg, a, n, m2):
+    """Smallest (lo, hi) split of n that base points t meet in the
+    shifted ranges [s0, s0 + seg), or None; the ranges are expanded into
+    point pairs _SCAN_CHUNK >> 2 at a time (a longer range alone).
+
+    A pair's x digit is du = sx - x0 in [-m2, m2), taken mod m2 where
+    negative, so u = sx*a - x0*m2 (= du*a + x0), plus a*m2 where negative,
+    is its one candidate, and u + a*m2 (u1 = m2) a second only where
+    du == 0.  Base x are units mod a, so u >= 1, and n % u runs once on
+    positive divisors; y is read only for the rare pairs where u divides
+    n, where u < 2 is rejected and v checked as _pair_scan_csr_loop does.
+    """
+    block = max(1, _SCAN_CHUNK >> 2)
+    am2 = a * m2
+    cum = np.cumsum(seg)
+    # a pair's shifted index is its place in the expansion plus this
+    shift = s0 - cum + seg
+    x0m2 = bx[t] * m2
     best = None
-    for uw in (0, 1):
-        u1 = du + uw * m2
-        u = u1 * a + x0
-        i = np.flatnonzero((u1 >= 0) & (u1 < a) & (u >= 2))
-        i = i[np.flatnonzero(n % u[i] == 0)]
+    c0 = 0
+    while c0 < seg.size:
+        done = int(cum[c0 - 1]) if c0 else 0
+        c1 = max(c0 + 1, int(np.searchsorted(cum, done + block,
+                                             side="right")))
+        s = np.arange(done, int(cum[c1 - 1]), dtype=np.int64)
+        s += np.repeat(shift[c0:c1], seg[c0:c1])
+        u = sx[s] * a
+        u -= np.repeat(x0m2[c0:c1], seg[c0:c1])
+        # as uint64, du*a + x0 < a only where du == 0; those pairs'
+        # second candidates follow the first ones
+        zero = np.flatnonzero(u.view(np.uint64) < a)
+        u = np.concatenate([u, u[zero] + am2])
+        u -= am2 * (u >> 63)
+        hit = np.flatnonzero(n % u == 0)
+        if hit.size == 0:
+            c0 = c1
+            continue
         # exact divisors of n are rare, so the tail runs on Python ints
-        for k in i.tolist():
-            uk = int(u[k])
+        for h, uk in zip(hit.tolist(), u[hit].tolist()):
+            k = h if h < s.size else int(zero[h - s.size])
             vk = n // uk
-            if vk < 2:
+            if uk < 2 or vk < 2:
                 continue
-            for v1 in (int(dv[k]), int(dv[k]) + m2):
-                if 0 <= v1 < a and v1 * a + int(y0[k]) == vk:
+            y0 = int(by[t[np.searchsorted(cum, done + k, side="right")]])
+            dv = int(sy[s[k]]) - y0
+            for v1 in (dv, dv + m2):
+                if 0 <= v1 < a and v1 * a + y0 == vk:
                     cand = (min(uk, vk), max(uk, vk))
                     if best is None or cand < best:
                         best = cand
+        c0 = c1
     return best
 
 
 def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
-    """Same contract as _pair_scan_csr_loop, by ragged expansion.
+    """Same contract as _pair_scan_csr_loop, by contiguous ranges.
 
-    Base points are taken in CSR (row-major cell) order, _SCAN_CHUNK
-    candidates at a time; each point's non-empty neighbor cells then
-    expand into point pairs, again at most _SCAN_CHUNK at a time.
+    Shifted cells are row-major, so a base column's kept neighbor columns
+    in one shifted row, a circular run (_column_runs), are one index
+    range of sx, sy, or two where the run wraps.  So each (base point,
+    y-step) pair expands one range, and a second one for the points of
+    wrapping columns, handled as points of a virtual column bk + ci.
+    Base points are taken in CSR order, _SCAN_CHUNK >> 2 (point, y-step)
+    pairs at a time, and _verified_split checks the pairs of the
+    non-empty ranges.  y-steps no row keeps are dropped.
     """
     rows = ny.shape[1]
     bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
-    bcell = np.repeat(np.arange(bk * rows, dtype=np.int64),
-                      np.diff(bstarts))
-    # shifted cell counts and starts on a grid padded by one zero row and
-    # column: a -1 table entry, as a flat offset, lands in the padding
-    count = np.zeros((rows + 1, sk + 1), dtype=np.int64)
-    count[:rows, :sk] = np.diff(sstarts).reshape(rows, sk)
-    first = np.zeros_like(count)
-    first[:rows, :sk] = sstarts[:-1].reshape(rows, sk)
-    count, first = count.ravel(), first.ravel()
-    step = max(1, _SCAN_CHUNK // (nx.shape[0] * ny.shape[0]))
+    lo, end = _column_runs(nx, sk)
+    ny = ny[(ny >= 0).any(axis=1)]
+    # shifted cell starts padded by one empty row, where -1 steps land
+    roff = ny % (rows + 1) * sk
+    first = np.concatenate([sstarts, np.full(sk, sstarts[-1])])
+    # each base point's cell: count the cells ending at each point
+    bcell = np.bincount(bstarts[1:-1], minlength=bstarts[-1] + 1)[:-1]
+    np.cumsum(bcell, out=bcell)
+    step = max(1, (_SCAN_CHUNK >> 2) // ny.shape[0])
     pairs = 0
     best = None
-    for lo in range(0, bcell.size, step):
-        cid = bcell[lo:lo + step]
-        nj = np.take(ny, cid // bk, axis=1) * (sk + 1)
-        ni = np.take(nx, cid % bk, axis=1)
-        cell = (nj[:, None, :] + ni[None, :, :]).ravel()
-        seg = count[cell]
+    for p0 in range(0, bcell.size, step):
+        cj, ci = np.divmod(bcell[p0:p0 + step], bk)
+        p = np.concatenate([np.arange(ci.size),
+                            np.flatnonzero(end[bk:][ci])])
+        ci = ci[p]
+        ci[cj.size:] += bk
+        off = np.take(roff, cj[p], axis=1)
+        s0 = first[off + lo[ci]].ravel()
+        seg = first[off + end[ci]].ravel() - s0
         k = np.flatnonzero(seg > 0)
-        cell = cell[k]
         seg = seg[k]
-        t = lo + k % cid.size
-        cum = np.cumsum(seg)
-        c0 = 0
-        while c0 < k.size:
-            done = int(cum[c0 - 1]) if c0 else 0
-            c1 = max(c0 + 1, int(np.searchsorted(cum, done + _SCAN_CHUNK,
-                                                 side="right")))
-            ids = _segment_ids(seg[c0:c1])
-            seg_start = cum[c0:c1] - seg[c0:c1] - done
-            s = np.arange(ids.size, dtype=np.int64) + (
-                first[cell[c0:c1]] - seg_start)[ids]
-            x0 = bx[t[c0:c1]][ids]
-            y0 = by[t[c0:c1]][ids]
-            cand = _verified_split(x0, y0, sx[s] - x0, sy[s] - y0, a, n, m2)
-            if cand is not None and (best is None or cand < best):
-                best = cand
-            c0 = c1
-        pairs += int(cum[-1]) if cum.size else 0
+        pairs += int(seg.sum())
+        cand = _verified_split(bx, by, sx, sy, p0 + p[k % p.size], s0[k],
+                               seg, a, n, m2)
+        if cand is not None and (best is None or cand < best):
+            best = cand
     if best is None:
         return 0, 0, pairs
     return best[0], best[1], pairs
@@ -478,15 +548,41 @@ def _check_mod(m: int) -> None:
         raise ValueError(f"modulus out of kernel range [2, 2**31): {m}")
 
 
-def _points(n: int, m: int, x0: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) of the solutions of x*y == n (mod m) with x in [x0, hi),
-    x ascending: a unit mask over the range, then one batch inversion."""
+def _units(m: int, x0: int, hi: int) -> np.ndarray:
+    """The units mod m in [x0, hi), ascending, by a mask over the range."""
     xs = np.arange(x0, hi, dtype=np.int64)
     mask = np.ones(xs.size, dtype=bool)
     for p, _ in prime_factors(m):
         mask[(-x0) % p::p] = False
-    xs = xs[mask]
+    return xs[mask]
+
+
+def _points(n: int, m: int, x0: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the solutions of x*y == n (mod m) with x in [x0, hi),
+    x ascending: the units, then one batch inversion."""
+    xs = _units(m, x0, hi)
     return xs, n % m * _inverses(xs, m) % m
+
+
+def _point_sets(n: int, a: int, m2: int) -> tuple[np.ndarray, ...]:
+    """(bx, by, sx, sy): _points over all of [0, a) mod a and of [0, m2)
+    mod m2.  Where m2 = a - 1 and a*m2 < 2**31, one batch inversion mod
+    a*m2 serves both sets: as a = 1 mod m2, z = x + a*((x' - x) mod m2)
+    is x mod a and x' mod m2, so z's inverse reduces to both inverses
+    (the shorter set padded with 1)."""
+    if m2 != a - 1 or a * m2 >= _MAX_MOD:
+        return (*_points(n, a, 0, a), *_points(n, m2, 0, m2))
+    bx, sx = _units(a, 0, a), _units(m2, 0, m2)
+    x = np.ones((2, max(bx.size, sx.size)), dtype=np.int64)
+    x[0, :bx.size] = bx
+    x[1, :sx.size] = sx
+    z = x[1] - x[0]
+    z %= m2
+    z *= a
+    z += x[0]
+    inv = _inverses(z, a * m2)
+    return (bx, n % a * (inv[:bx.size] % a) % a,
+            sx, n % m2 * (inv[:sx.size] % m2) % m2)
 
 
 def unit_inverse_table(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -544,8 +640,7 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
         raise ValueError("N out of kernel range")
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
-    bx, by = _points(n, a, 0, a)
-    sx, sy = _points(n, m2, 0, m2)
+    bx, by, sx, sy = _point_sets(n, a, m2)
     u, v, pairs = _pair_scan(
         *_bucket(bx, by, cell_w, cell_h, cols, rows, 0, cols),
         *_bucket(sx, sy, cell_w, cell_h, cols, rows, 0, cols),

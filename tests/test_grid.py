@@ -7,8 +7,8 @@ import random
 
 import numpy as np
 
-from hideseek._kernels import (_neighbor_tables, axis_neighbor_table,
-                               bucket_csr)
+from hideseek._kernels import (_column_runs, _neighbor_tables,
+                               axis_neighbor_table, bucket_csr)
 from hideseek.solutions import solve_all
 from oracle import axis_neighbors, neighbor_pairs
 
@@ -31,13 +31,44 @@ def cells_of(pts, a, w, h):
 
 def check_axis(ncells, cell, a, radius, cis=None):
     """axis_neighbor_table lists the oracle's neighbors of each cell in
-    cis (default all), each once."""
+    cis (default all), each once, and the whole-grid column table forms
+    one run per column."""
     nbr, _ = axis_neighbor_table(ncells, cell, a, radius)
     want = axis_neighbors(ncells, cell, a, radius)
     for ci in range(ncells) if cis is None else cis:
         got = [c for c in nbr[ci].tolist() if c >= 0]
         assert len(got) == len(set(got)) and set(got) == want[ci], (
             ncells, cell, a, radius, ci)
+    nx, _ = _neighbor_tables(ncells, 1, cell, a, a, radius, 1,
+                             0, ncells, 0, ncells)
+    check_runs(nx, ncells, cis)
+
+
+def circular_run(cols, sk):
+    """(start, length) when the set cols is one run of consecutive
+    columns mod sk, else None."""
+    if len(cols) in (0, sk):
+        return 0, len(cols)
+    starts = [c for c in cols if (c - 1) % sk not in cols]
+    if len(starts) == 1 and cols == {(starts[0] + j) % sk
+                                     for j in range(len(cols))}:
+        return starts[0], len(cols)
+    return None
+
+
+def check_runs(nx, sk, cis=None):
+    """Each listed column's kept columns in nx (default all) form one
+    circular run mod sk, and _column_runs reads off exactly that run:
+    [lo, end), then [0, end2) in the column's second range where the
+    run wraps past sk - 1."""
+    bk = nx.shape[1]
+    lo, end = _column_runs(nx, sk)
+    for i in range(bk) if cis is None else cis:
+        kept = {c for c in nx[:, i].tolist() if c >= 0}
+        assert circular_run(kept, sk) is not None, (sk, i, sorted(kept))
+        assert lo[bk + i] == 0 and (end[bk + i] == 0 or end[i] == sk)
+        got = set(range(lo[i], end[i])) | set(range(end[bk + i]))
+        assert got == kept, (sk, i, sorted(kept), lo[i], end[i], end[bk + i])
 
 
 def wrapped(ncells, cell, a, radius, ci, ni):
@@ -85,10 +116,11 @@ def test_bucket_tiles_exactly():
 
 
 def test_axis_neighbor_table_matches_oracle():
-    """The kernels' neighbor cells are the oracle's, on every cell of
-    every axis of 1..40 cells of width 1..11 with every truncation of the
-    last cell (the seam cases of the gap rule, which the kernels test
-    only at the ends of the axis), at radii 1..3 and the whole axis."""
+    """The kernels' neighbor cells are the oracle's, and form one run per
+    cell, on every cell of every axis of 1..40 cells of width 1..11 with
+    every truncation of the last cell (the seam cases of the gap rule,
+    which the kernels test only at the ends of the axis), at radii 1..3
+    and the whole axis."""
     for ncells in range(1, 41):
         for cell in range(1, 12):
             for last in range(1, cell + 1):
@@ -112,9 +144,10 @@ def test_neighbor_tables_match_oracle():
     """The tables both pair scans read: column i of nx holds the oracle's
     neighbors of grid column (bc0 + i) mod cols that fall in the sk
     shifted columns from sc0, as shifted-window columns, and column j of
-    ny the oracle's neighbors of row j; each once, -1 elsewhere.  Random
-    square and rectangular grids, wrapping windows and whole-grid ones,
-    which skip the remap."""
+    ny the oracle's neighbors of row j; each once, -1 elsewhere; every
+    column's shifted columns form one circular run.  Random square and
+    rectangular grids, wrapping windows and whole-grid ones, which skip
+    the remap."""
     rng = random.Random(8)
 
     def cells(col):
@@ -142,6 +175,7 @@ def test_neighbor_tables_match_oracle():
             want = {(c - sc0) % cols for c in col_nbrs[(bc0 + i) % cols]}
             assert cells(nx[:, i]) == {c for c in want if c < sk}, (
                 cols, cell_w, a, dxc, bc0, bk, sc0, sk, i)
+        check_runs(nx, sk)
         row_nbrs = axis_neighbors(rows, cell_h, a, dyc)
         for j in range(rows):
             assert cells(ny[:, j]) == row_nbrs[j], (rows, cell_h, a, dyc, j)

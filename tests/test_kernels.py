@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hideseek import _kernels as K
+from oracle import check_candidate, neighbor_pairs
 
 
 def test_backend_flag_reported():
@@ -51,6 +52,22 @@ def test_hyperbola_points_ranges_against_pow():
                 n, m, x0, min(x0 + width, m)), (m, x0, width)
         xs, ys = K.hyperbola_points(n, m)
         assert list(zip(xs.tolist(), ys.tolist())) == recount(n, m, 0, m)
+
+
+def test_point_sets_share_one_inversion():
+    """hyperbola_scan's two whole-grid solution sets equal _points' own
+    enumerations: by one inversion mod a*(a-1) up to a = 46341, the
+    largest a with a*(a-1) < 2**31, and separately above it or for a
+    second modulus other than a - 1."""
+    rng = random.Random(56)
+    for a in [3, 4, 6, 30031, 46341, 46342, 65536] + [
+            rng.randrange(4, 46341) for _ in range(10)]:
+        n = rng.randrange(1, 1 << 62)
+        for m2 in (a - 1, a - 2) if a > 3 else (a - 1,):
+            got = K._point_sets(n, a, m2)
+            want = (*K._points(n, a, 0, a), *K._points(n, m2, 0, m2))
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), (n, a, m2)
 
 
 def test_inverses_for_backends_agree():
@@ -217,6 +234,113 @@ def test_windowed_scan_backends_agree():
         r2 = K._pair_scan_csr_np(*args)
         assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2), (
             n, a, w, bc0, bk, sc0, sk)
+
+
+def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0):
+    """The numpy and loop pair scans of base against shifted points on a
+    grid of w x h cells at radii (1, 2), base bucketed over bk columns
+    from bc0 (default all) and shifted over every column from sc0, and
+    the oracle's (split or (0, 0), pairs) over the same pairs; asserts
+    the three agree and returns the result."""
+    cols, rows = -(-a // w), -(-a // h)
+    bk = cols if bk is None else bk
+    base = [p for p in base if (p[0] // w - bc0) % cols < bk]
+
+    def csr(pts, c0, k):
+        xs, ys = (np.array([p[i] for p in pts], dtype=np.int64)
+                  for i in (0, 1))
+        return K._bucket_csr_np(xs, ys, w, h, cols, rows, c0, k)
+
+    args = (*csr(base, bc0, bk), *csr(shifted, sc0, cols),
+            *K._neighbor_tables(cols, rows, w, h, a, 1, 2, bc0, bk, sc0,
+                                cols), a, n, a - 1)
+    got = tuple(int(x) for x in K._pair_scan_csr_np(*args))
+    assert got == tuple(int(x) for x in K._pair_scan_csr_loop(*args))
+    splits, pairs = set(), 0
+    for p, q in neighbor_pairs(base, shifted, a, w, h, 1, 2):
+        pairs += 1
+        f = check_candidate(n, a, p, q)
+        if f is not None:
+            splits.add((f.u, f.v))
+    assert got == (*min(splits, default=(0, 0)), pairs), (n, a, w, bc0, bk,
+                                                          sc0)
+    return got
+
+
+def test_wrapping_runs_match_oracle():
+    """Windows where column runs wrap past the last shifted column: the
+    whole grid, whose columns 0 and cols - 1 reach across the seam, and
+    a whole-grid shifted window from sc0 != 0 met by base windows from
+    bc0 != 0, some holding columns cols - 1 and 0.  The numpy scan, the
+    loop scan and the oracle agree on split and pairs."""
+    rng = random.Random(55)
+    from hideseek.arith import ceil_cbrt
+    from util import arbitrary_semiprime
+
+    for trial in range(30):
+        n, p, q = arbitrary_semiprime(rng, 10 ** 6)
+        a = ceil_cbrt(n)
+        w = rng.choice((1, 2, 3, rng.randrange(1, a + 1)))
+        h = max(1, a // w)
+        cols = -(-a // w)
+        base = list(zip(*(c.tolist() for c in K.hyperbola_points(n, a))))
+        shifted = list(zip(*(c.tolist()
+                             for c in K.hyperbola_points(n, a - 1))))
+        bk = rng.randrange(2, cols + 1) if cols > 1 else 1
+        if trial % 3 == 0:  # the whole grid
+            bc0, bk, sc0 = 0, cols, 0
+        elif trial % 3 == 1:  # base columns cols - 1, 0, ...
+            bc0, sc0 = cols - 1, 0
+        else:  # base columns holding grid column sc0 != 0
+            sc0 = rng.randrange(1, cols) if cols > 1 else 0
+            bc0 = (sc0 - rng.randrange(bk)) % cols
+        nx, _ = K._neighbor_tables(cols, 1, w, a, a, 1, 1, bc0, bk, sc0,
+                                   cols)
+        if cols > 5:  # shorter axes may keep every column
+            assert K._column_runs(nx, cols)[1][bk:].any(), (a, w, bc0, sc0)
+        _three_scans(n, a, base, shifted, w, h, bc0, bk, sc0)
+
+
+def test_pair_scan_digit_edges():
+    """The numpy scan's one-candidate digit test at its edges, each pair
+    checked on a one-cell grid against the loop scan and the oracle:
+    du == 0, where only the second candidate u1 = a - 1 splits n; du ==
+    -(a - 1), where u1 = 0; and x0 = 1 meeting x = 1, where u = 1
+    divides every n and must not count as a split."""
+    from hideseek.factor import is_probable_prime
+
+    a = 101
+    m2 = a - 1
+
+    def sets(n):
+        return [list(zip(*(c.tolist() for c in K.hyperbola_points(n, m))))
+                for m in (a, m2)]
+
+    # du == 0: U = (a-1)*a + u0 with u0 < a - 1 puts U's shifted point
+    # at x = u0, the base point's own x; V's base point, which would
+    # reach U as its y digit, is left out
+    u0 = next(x for x in range(3, m2) if x % 2 and x % 5
+              and is_probable_prime(m2 * a + x))
+    U, V = m2 * a + u0, 313
+    base, shifted = sets(U * V)
+    base.remove((V % a, U % a))
+    assert (u0, V % a) in base and (u0, V % m2) in shifted
+    assert _three_scans(U * V, a, base, shifted, a, a)[:2] == (V, U)
+
+    # du == -(a-1): base x0 = a - 1 meets shifted x = 0 (no unit, so
+    # planted), and u1 = du + (a-1) = 0 gives U = a - 1
+    V = 313
+    got = _three_scans(m2 * V, a, [(m2, V % a)], [(0, V % m2), (7, 3)],
+                       a, a)
+    assert got == (m2, V, 2)
+
+    # u = 1: x = 1 lies in both sets; for this prime n < a*a the pair's
+    # y digits rebuild v = n, so only the rule u >= 2 rejects (1, n)
+    n = 509
+    assert is_probable_prime(n) and n // a + n % a < m2
+    base, shifted = sets(n)
+    assert (1, n % a) in base and (1, n % m2) in shifted
+    assert _three_scans(n, a, base, shifted, a, a)[:2] == (0, 0)
 
 
 def test_pair_scan_chunk_budget(monkeypatch):
