@@ -1,10 +1,22 @@
-"""Pure-Python reference for the pair scan, on plain lists of (x, y) points.
+"""References the tests hold the kernels and the analysis layer to.
 
-neighbor_pairs lists the point pairs the kernels' pair scan checks, under
-a neighbor rule derived here from its definition; check_candidate
-reconstructs a split of N from one pair.  The tests hold the kernels to
-both.  Nothing here comes from hideseek._kernels.
+Pair scan, in pure Python on plain lists of (x, y) points: neighbor_pairs
+lists the point pairs the kernels' pair scan checks, under a neighbor
+rule derived here from its definition; check_candidate reconstructs a
+split of N from one pair.
+
+Second moments: kloosterman_abs2_dense is the whole |S(m, n, a)|^2 table
+as one dense complex matrix product over the units, spectral_dense the
+Kloosterman double sum over that table, and torus_window_counts counts
+every wrapped window of the full-torus cell family point by point.
+
+Nothing here comes from hideseek._kernels or hideseek.moments; inverses
+are pow(x, -1, a).
 """
+
+from math import gcd
+
+import numpy as np
 
 from hideseek.factor import Factorization
 
@@ -64,3 +76,45 @@ def check_candidate(N, a, p, q):
     splits = [(min(u, v), max(u, v)) for u in us for v in vs
               if u >= 2 and v >= 2 and u * v == N]
     return Factorization(N, *min(splits)) if splits else None
+
+
+def _units_and_inverses(a):
+    units = [x for x in range(a) if gcd(x, a) == 1]
+    return units, [pow(x, -1, a) for x in units]
+
+
+def kloosterman_abs2_dense(a):
+    """|S(m, n, a)|^2 for all 0 <= m, n < a: the a x phi(a) matrix of
+    e(m*x/a) times the phi(a) x a matrix of e(xbar*n/a)."""
+    units, invs = _units_and_inverses(a)
+    idx = np.arange(a)
+    tw = np.exp((2j * np.pi / a) * idx)
+    s = tw[np.outer(idx, units) % a] @ tw[np.outer(invs, idx) % a]
+    return (s * s.conj()).real
+
+
+def spectral_dense(N, a, w, h):
+    """(1/a^2) * sum over m, k of |S(m, N*k, a)|^2 * F_w(m) * F_h(k), with
+    F_span(m) = sin(pi*m*span/a)^2 / sin(pi*m/a)^2 and F_span(0) = span^2,
+    over the dense table."""
+    def fejer(span):
+        m = np.arange(1, a)
+        return np.concatenate(([float(span) ** 2],
+                               (np.sin(np.pi * m * span / a)
+                                / np.sin(np.pi * m / a)) ** 2))
+
+    table = kloosterman_abs2_dense(a)
+    perm = N % a * np.arange(a) % a
+    return float(fejer(w) @ table[:, perm] @ fejer(h) / (a * a))
+
+
+def torus_window_counts(N, a, w, h):
+    """Counts of the solutions of x*y == N (mod a) in every wrapped window
+    [s, s + w) x [t, t + h) mod a, for 0 <= s, t < a, s-major."""
+    ys = {x: N * xbar % a for x, xbar in zip(*_units_and_inverses(a))}
+    counts = []
+    for s in range(a):
+        window = [ys[x % a] for x in range(s, s + w) if x % a in ys]
+        counts.extend(sum(1 for y in window if (y - t) % a < h)
+                      for t in range(a))
+    return counts

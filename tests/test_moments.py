@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from hideseek import moments
 from hideseek.arith import divisor_count, euler_phi
 from hideseek.moments import (
     MomentDomain,
@@ -15,7 +16,8 @@ from hideseek.moments import (
     second_moment_direct,
     second_moment_spectral,
 )
-from hideseek.solutions import Rect
+from hideseek.solutions import Rect, count_in_rect
+from oracle import kloosterman_abs2_dense, spectral_dense, torus_window_counts
 
 
 def test_kloosterman_examples():
@@ -54,6 +56,21 @@ def test_kloosterman_table_matches_direct():
                 kv = kloosterman(m, n, a)
                 assert tab[m, n] == pytest.approx(
                     kv.value ** 2 + kv.imag_residual ** 2, rel=1e-9, abs=1e-8)
+
+
+def test_kloosterman_divisor_rows_match_references():
+    # every m, so every divisor class of a; every n against the direct sum
+    # up to a = 128, every seventh n above
+    for a in (2, 4, 64, 128, 127, 210, 360):
+        tab = kloosterman_abs2_table(a)
+        np.testing.assert_allclose(tab, kloosterman_abs2_dense(a),
+                                   rtol=1e-9, atol=1e-8)
+        for m in range(a):
+            for n in range(0, a, 1 if a <= 128 else 7):
+                kv = kloosterman(m, n, a)
+                assert tab[m, n] == pytest.approx(
+                    kv.value ** 2 + kv.imag_residual ** 2,
+                    rel=1e-9, abs=1e-8), (m, n, a)
 
 
 def test_weil_bound_small_sweep():
@@ -155,6 +172,60 @@ def test_spectral_identity_random_matrix():
         assert rep.sum_counts == euler_phi(a) * w * h
 
 
+def _unit_draw(rng, a):
+    u = rng.randrange(1, a)
+    while gcd(u, a) > 1:
+        u = rng.randrange(1, a)
+    return u
+
+
+def test_spectral_matches_dense_reference():
+    rng = random.Random(26)
+    for a in (12, 30, 64, 100, 210, 360, 512):
+        spans = [(1, a - 1), (a - 1, 1)]
+        spans += [(_unit_draw(rng, a), _unit_draw(rng, a)) for _ in range(3)]
+        for w, h in spans:
+            n = _unit_draw(rng, a) + a * rng.randrange(3)
+            assert second_moment_spectral(n, a, w, h) == pytest.approx(
+                spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
+
+
+def test_spectral_blocks_cover_every_class(monkeypatch):
+    # three residues m per block, so most divisor classes end in a
+    # partial block
+    monkeypatch.setattr(moments, "_SPECTRAL_BLOCK", 3 * 360)
+    rng = random.Random(28)
+    for a in (7, 64, 210, 360):
+        n, w, h = (_unit_draw(rng, a) for _ in range(3))
+        assert second_moment_spectral(n, a, w, h) == pytest.approx(
+            spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
+
+
+def test_torus_prefix_sum_matches_window_count():
+    rng = random.Random(27)
+    for a in (2, 3, 7, 12, 30, 35, 64):
+        n = _unit_draw(rng, a)
+        spans = {(1, 1), (1, a - 1), (a - 1, 1), (a - 1, a - 1),
+                 (_unit_draw(rng, a), _unit_draw(rng, a))}
+        for w, h in sorted(spans):
+            rep = second_moment_direct(n, a, w, h, MomentDomain.FULL_TORUS_Q2)
+            counts = torus_window_counts(n, a, w, h)
+            assert (rep.sum_counts, rep.sum_squares) == (
+                sum(counts), sum(c * c for c in counts)), (n, a, w, h)
+
+
+def test_spectral_rejects_cells_out_of_range():
+    for w, h in ((9, 2), (-1, 2), (0, 2), (2, 8), (2, 0), (2, -3)):
+        with pytest.raises(ValueError, match="cell dimensions out of range"):
+            second_moment_spectral(1, 7, w, h)
+        with pytest.raises(ValueError, match="cell dimensions out of range"):
+            second_moment_direct(1, 7, w, h, MomentDomain.FULL_TORUS_Q2)
+    with pytest.raises(ValueError, match="spectral sum limited to a <= 4096"):
+        second_moment_spectral(1, 4099, 2, 3)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        second_moment_spectral(1, 1, 1, 1)
+
+
 def test_spectral_k0_slice_near_closed_form():
     # the k = 0 slice of the spectral sum approaches w^2 h^2 phi^2 / a^2
     a, w, h = 1009, 32, 45
@@ -201,6 +272,24 @@ def test_deviation_scan_deterministic_and_recorded():
     assert len(r1.records) == 50
     assert r1.max_abs_dev == max(abs(t.count - t.expected)
                                  for t in r1.records)
+
+
+def test_deviation_counts_match_count_in_rect():
+    edges = set()
+    for n, a, seed in ((1, 2, 0), (1, 12, 3), (37, 30, 9), (7, 64, 1),
+                       (12345, 64, 8), (3, 1009, 42), (5, 4099, 5)):
+        rep = deviation_scan(n, a, 300, seed, keep_records=True)
+        for t in rep.records:
+            assert t.count == count_in_rect(n, a, t.rect), (n, a, t)
+            edges.update({"x1 = 0"} if t.rect.x1 == 0 else ())
+            edges.update({"x2 = a"} if t.rect.x2 == a else ())
+    assert edges == {"x1 = 0", "x2 = a"}
+
+
+def test_deviation_scan_rejects_small_modulus():
+    for a in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            deviation_scan(1, a, 5, 0)
 
 
 def test_deviation_scan_rejects_common_factor():
