@@ -23,7 +23,8 @@ fit, else two stable sorts, by window column and then by row, where the
 first meets callers' points already in order and the second is a radix
 sort on uint16 rows.  The whole-grid enumeration of both sets, mod a and
 mod a-1, shares one batch inversion mod a*(a-1) while that fits the
-kernels' modulus range (_point_sets).
+kernels' modulus range (_point_sets), in hyperbola_scan, the full-mode
+scan of both factorers, or once in a caller that passes it the sets.
 
 The numpy pair scan costs about one pass per candidate: shifted cells
 are row-major, so a base column's neighbor columns in one shifted row,
@@ -629,18 +630,20 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
 
 
 def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
-                   dxc: int, dyc: int) -> tuple[int, int, int, int]:
-    """Enumerate both solution sets over the whole grid, bucket them and
-    pair-scan; returns (u, v, points, pairs).  Goes through the private
-    kernels only, so that a caller wrapping the public ones sees this
-    call once."""
+                   dxc: int, dyc: int, *, sets: tuple | None = None
+                   ) -> tuple[int, int, int, int]:
+    """Bucket both whole-grid solution sets, mod a and mod m2, and
+    pair-scan them; returns (u, v, points, pairs).  sets, the (bx, by,
+    sx, sy) of _point_sets, spares a caller scanning several cell shapes
+    the enumeration.  Goes through the private kernels only, so that a
+    caller wrapping the public ones sees this call once."""
     _check_mod(a)
     _check_mod(m2)
     if not 0 < n < 1 << 63:
         raise ValueError("N out of kernel range")
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
-    bx, by, sx, sy = _point_sets(n, a, m2)
+    bx, by, sx, sy = _point_sets(n, a, m2) if sets is None else sets
     u, v, pairs = _pair_scan(
         *_bucket(bx, by, cell_w, cell_h, cols, rows, 0, cols),
         *_bucket(sx, sy, cell_w, cell_h, cols, rows, 0, cols),
@@ -650,5 +653,6 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
 
 
 def warmup() -> None:
-    """Force JIT compilation of all kernels (no-op on the numpy backend)."""
+    """Run one tiny scan: numba compiles the kernels there, and numpy
+    pays its first-call costs, which a timed setup includes."""
     hyperbola_scan(77, 6, 5, 3, 3, 1, 1)

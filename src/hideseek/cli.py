@@ -249,7 +249,7 @@ def _sample_semiprime(rng: SplitMix64, nmin: int, nmax: int,
 
 
 def cmd_bench(args) -> int:
-    _kernels.warmup()  # JIT compilation must not pollute the timings
+    _kernels.warmup()  # first-call costs (numba's JIT) stay out of the timings
     rng = SplitMix64(args.seed)
     rows = []
     for _ in range(args.samples):

@@ -10,13 +10,14 @@ split in O(a^(1+eps)) work.
 
 Two variants: the balanced factorer assumes U < V < 2U and uses square
 cells of side ceil(sqrt(a)) with a = ceil_cbrt(2N); the general variant
-uses w-by-h rectangles, doubling w until the planted pair fits.  Its two
-solution sets do not depend on w, so it enumerates them once per N and
-re-buckets them for each width.  Strip mode runs the same scan over
-windows of whole grid columns, enumerating each window's points as it
-goes, so it holds about _kernels._SCAN_CHUNK points of each set at once
-instead of all phi(a) + phi(a-1), and returns the same answer and pair
-count.
+uses w-by-h rectangles, doubling w until the planted pair fits.  Full
+mode scans each width with one whole-grid _kernels.hyperbola_scan over
+both solution sets, enumerated by one joint inversion mod a*(a-1); they
+do not depend on w, so the general variant enumerates them once per N.
+Strip mode runs the same scan over windows of whole grid columns,
+enumerating each window's points as it goes, so it holds about
+_kernels._SCAN_CHUNK points of each set at once instead of all phi(a) +
+phi(a-1), and returns the same answer and pair count.
 """
 
 from __future__ import annotations
@@ -146,13 +147,7 @@ def hide_seek_balanced(N: int, strip_mode: bool = False,
     short = _gcd_shortcut(N, a)
     if short is not None:
         return short
-    if strip_mode:
-        return _strip_scan(N, a, b, b, 1, stats)
-    u, v, pts, pairs = _kernels.hyperbola_scan(N, a, a - 1, b, b, 1, 1)
-    if stats is not None:
-        stats.points += pts
-        stats.pairs += pairs
-    return Factorization(N, u, v) if u else None
+    return _scan(N, a, b, b, 1, strip_mode, stats)
 
 
 def hide_seek_general(N: int, strip_mode: bool = False,
@@ -164,8 +159,8 @@ def hide_seek_general(N: int, strip_mode: bool = False,
     and heights h = max(1, a // w); once w exceeds u1 the planted pair is
     at most one cell apart horizontally and two vertically, hence the
     (1, 2) scan radii.  Returns None only after the final width.
-    Full mode enumerates both solution sets once and scans each width as
-    one whole-grid window of _strip_scan over them; strip mode
+    Full mode enumerates both solution sets once, by _point_sets, and
+    scans each width with one hyperbola_scan over them; strip mode
     enumerates per window, every width anew.
     It needs a split with U > N / a**2, so that V < a**2 has two base-a
     digits; `factor` trial-divides up to ceil_cbrt(N) first, which removes
@@ -183,64 +178,65 @@ def hide_seek_general(N: int, strip_mode: bool = False,
     short = _gcd_shortcut(N, a)
     if short is not None:
         return short
-    sets = None if strip_mode else (_kernels.hyperbola_points(N, a),
-                                    _kernels.hyperbola_points(N, a - 1))
+    sets = None if strip_mode else _kernels._point_sets(N, a, a - 1)
     w = 2
     while w <= a:
         h = max(1, a // w)
         if stats is not None:
             stats.w, stats.h = w, h
-        got = _strip_scan(N, a, w, h, 2, stats, sets)
+        got = _scan(N, a, w, h, 2, strip_mode, stats, sets)
         if got is not None:
             return got
         w *= 2
     return None
 
 
-def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int,
-                stats: FactorStats | None,
-                sets: tuple | None = None
-                ) -> Factorization | None:
-    """The full-mode pair scan over windows of k whole grid columns: base
+def _scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int,
+          strip_mode: bool, stats: FactorStats | None,
+          sets: tuple | None = None) -> Factorization | None:
+    """One width's scan: _strip_scan, or hyperbola_scan on sets if given."""
+    if strip_mode:
+        u, v, points, pairs = _strip_scan(N, a, cell_w, cell_h, dyc)
+    else:
+        u, v, points, pairs = _kernels.hyperbola_scan(
+            N, a, a - 1, cell_w, cell_h, 1, dyc, sets=sets)
+    if stats is not None:
+        stats.points += points
+        stats.pairs += pairs
+    return Factorization(N, u, v) if u else None
+
+
+def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int
+                ) -> tuple[int, int, int, int]:
+    """Strip mode's pair scan, over windows of k whole grid columns: base
     columns [c0, c0+k) meet shifted columns [c0-2, c0+k+2) mod cols (or
     all), which hold every neighbor at radius 1 under the gap rule.  With
     at most cell_w points of a set per column, k = _SCAN_CHUNK // cell_w
     holds about _SCAN_CHUNK points of each set at once, enumerated per
-    window.  Given sets, the two solution sets already enumerated over
-    the whole grid (mod a, then mod a-1), it runs one whole-grid window
-    (k = cols) on them instead."""
+    window.  Returns (u, v, points, pairs) as hyperbola_scan does."""
     m2 = a - 1
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
-    k = cols if sets is not None else max(1, _kernels._SCAN_CHUNK // cell_w)
-    best: tuple[int, int] | None = None
+    k = max(1, _kernels._SCAN_CHUNK // cell_w)
+    best = (0, 0)
     points = pairs = 0
     for c0 in range(0, cols, k):
         bk = min(k, cols - c0)
         s0, sk = ((c0 - 2) % cols, bk + 4) if bk + 4 < cols else (0, cols)
-        if sets is not None:
-            base, shifted = sets
-        else:
-            base = _strip_arrays(N, a, c0 * cell_w, bk * cell_w)
-            shifted = np.concatenate(
-                [_strip_arrays(N, m2, lo * cell_w, (hi - lo) * cell_w)
-                 for lo, hi in ((s0, min(s0 + sk, cols)),
-                                (0, s0 + sk - cols))
-                 if lo < hi], axis=1)
+        base = _strip_arrays(N, a, c0 * cell_w, bk * cell_w)
+        shifted = np.concatenate(
+            [_strip_arrays(N, m2, lo * cell_w, (hi - lo) * cell_w)
+             for lo, hi in ((s0, min(s0 + sk, cols)), (0, s0 + sk - cols))
+             if lo < hi], axis=1)
         points += base[0].size + shifted[0].size
         u, v, got = _kernels.pair_scan_csr(
             *_kernels.bucket_csr(*base, cell_w, cell_h, cols, rows, c0, bk),
             *_kernels.bucket_csr(*shifted, cell_w, cell_h, cols, rows, s0, sk),
             cols, rows, cell_w, cell_h, a, 1, dyc, N, m2, c0, s0)
         pairs += got
-        if u and (best is None or (u, v) < best):
+        if u and (not best[0] or (u, v) < best):
             best = (u, v)
-    if stats is not None:
-        stats.points += points
-        stats.pairs += pairs
-    if best is None:
-        return None
-    return Factorization(N, best[0], best[1])
+    return (*best, points, pairs)
 
 
 def trial_division(N: int, bound: int) -> Factorization | None:

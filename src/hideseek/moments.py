@@ -195,7 +195,12 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
         cols = -(-a // cell_w)
         rows = -(-a // cell_h)
         cids = (ys // cell_h) * cols + xs // cell_w
-        counts = np.bincount(cids, minlength=cols * rows)
+        # past _TABLE_LIMIT**2 cells count only the occupied ones, in
+        # O(phi(a)) memory
+        if cols * rows <= _TABLE_LIMIT ** 2:
+            counts = np.bincount(cids, minlength=cols * rows)
+        else:
+            counts = np.unique(cids, return_counts=True)[1]
         edge = 0
         if cols * cell_w > a:
             edge_mask = xs >= (cols - 1) * cell_w

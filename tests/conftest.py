@@ -5,5 +5,6 @@ from hideseek import _kernels
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the numba kernels once so timings and tests never pay JIT."""
+    """Run one tiny scan first, so that no test timing pays numba's JIT
+    compilation or numpy's first-call costs."""
     _kernels.warmup()

@@ -4,8 +4,8 @@ hsbench/tracing.py wraps module attributes of the program by name and
 replays every hyperbola_scan through the public hyperbola_points,
 bucket_csr and pair_scan_csr.  A renamed entry point or a scan that
 differs from that chain would otherwise only show as every operation of a
-traced benchmark run failing.  hide_seek_general calls those public
-kernels itself, so its spans need no replay.
+traced benchmark run failing.  Full mode of both factorers scans each
+width with one hyperbola_scan, so every width is one replayed span.
 """
 
 import importlib.util
@@ -31,13 +31,24 @@ def test_entry_points_resolve():
         assert callable(fn), (mod_name, attr)
 
 
+def _traced(tracing, variant, n, **install):
+    """(tracer, first span, stats) of one full-mode call under the tracer."""
+    stats = FactorStats()
+    tracer = tracing.Tracer()
+    tracer.install(**install)
+    try:
+        lo, _ = tracer.root("factor.op", variant, n, False, stats)
+    finally:
+        tracer.uninstall()
+    return tracer, lo, stats
+
+
 def test_scan_equals_public_chain():
-    """Each balanced scan opens no span of its own public kernels, and the
-    tracer's replay through them gives the same (u, v, points, pairs).
-    hide_seek_general runs no fused scan: it enumerates both solution
-    sets once, and scans each width it tries in one factor.strip_scan span
-    carrying that width's (w, h); the per-operation record counts those
-    widths and FactorStats' pairs."""
+    """A full-mode op opens one kernels.scan span per width it tries,
+    carrying that width's (w, h) and nesting no span of the public
+    kernels, and the tracer's replay through them gives each span's
+    (u, v, points, pairs).  The per-operation record of those replays
+    counts the widths tried and FactorStats' points and pairs."""
     tracing = _tracing()
     rng = random.Random(50)
     inputs = [(hide_seek_balanced, balanced_semiprime(rng, 10 ** 9)[0])
@@ -45,27 +56,32 @@ def test_scan_equals_public_chain():
     inputs += [(hide_seek_general, arbitrary_semiprime(rng, 10 ** 8)[0])
                for _ in range(4)]
     for variant, n in inputs:
-        stats = FactorStats()
-        tracer = tracing.Tracer()
-        tracer.install()
+        tracer, lo, stats = _traced(tracing, variant, n)
+        scans = [i for i, s in enumerate(tracer.spans) if s[0] == "kernels.scan"]
+        if variant is hide_seek_balanced:
+            tried = [(stats.w, stats.h)]
+        else:
+            tried = [(1 << k, max(1, stats.a >> k))
+                     for k in range(1, stats.w.bit_length())]
+        assert [(tracer.spans[i][4]["w"], tracer.spans[i][4]["h"])
+                for i in scans] == tried, n
+        nested = {s[0] for s in tracer.spans if s[3] in scans}
+        assert nested <= {"kernels.neighbor_table"}, nested
+        tracer.install()  # the replay's spans come from the wrappers
         try:
-            lo, _ = tracer.root("factor.op", variant, n, False, stats)
+            replay = tracer.replay([tracer.spans[i] for i in scans])
         finally:
             tracer.uninstall()
-        names = [s[0] for s in tracer.spans]
-        if variant is hide_seek_balanced:
-            scans = [i for i, name in enumerate(names) if name == "kernels.scan"]
-            assert len(scans) == 1, n
-            nested = {s[0] for s in tracer.spans if s[3] in scans}
-            assert nested <= {"kernels.neighbor_table"}, nested
-            tracer.replay([tracer.spans[i] for i in scans])
-            continue
-        assert names.count("kernels.enumerate") == 2, n
-        assert "kernels.scan" not in names, n
-        tried = [1 << k for k in range(1, stats.w.bit_length())]
-        assert [(s[4]["w"], s[4]["h"]) for s in tracer.spans
-                if s[0] == "factor.strip_scan"] == [
-                    (w, max(1, stats.a // w)) for w in tried], n
-        rec = tracing.op_record(tracer.spans, lo, [])
-        assert rec["factor.widths"] == len(tried) >= 1, n
-        assert rec["kernels.pairs"] == stats.pairs, n
+        rec = tracing.op_record(tracer.spans, lo, replay)
+        assert rec["factor.widths"] == len(tried), n
+        assert (rec["kernels.points"], rec["kernels.pairs"]) == (
+            stats.points, stats.pairs), n
+
+
+def test_memory_pass_measures_general_scan():
+    """The tracer's memory pass wraps hyperbola_scan, so it measures the
+    general variant's scans too."""
+    tracing = _tracing()
+    n = arbitrary_semiprime(random.Random(51), 10 ** 8)[0]
+    tracer, _, _ = _traced(tracing, hide_seek_general, n, memory=True)
+    assert tracer.scan_peak > 0

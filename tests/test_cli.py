@@ -317,6 +317,18 @@ def test_moment_cell_plain(capsys):
     assert "sum_squares = 16" in out
 
 
+def test_moment_cell_sparse_grid(capsys):
+    """3 x 3 cells mod 100003 make about 1.1e9 cells, far more than the
+    points: the moment counts the occupied cells only, instead of asking
+    for 8 GiB of counters.  The figures are a pure-Python recount's."""
+    code, out, _ = run_cli(capsys, "moment", "7", "100003", "--cell", "3",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert (row["sum_counts"], row["sum_squares"], row["edge_points"]) == (
+        100002, 100010, 2)
+
+
 def test_moment_spectral_requires_rect(capsys):
     code, _, err = run_cli(capsys, "moment", "1", "7", "--cell", "3",
                            "--spectral")

@@ -1,9 +1,10 @@
 """Property tests on inputs at the edge of the range: prime powers, p*p*q
 and p**3 with the primes on either side of ceil_cbrt(N), and N sharing a
 factor with the general variant's a or a-1 (all N <= 1e12); N whose a-1
-is divisible by 2*3*5*7*11*13 (N < 2.2e14); and N on either side of the
+is divisible by 2*3*5*7*11*13 (N < 2.2e14); N on either side of the
 size where strip mode goes from one column window to many (N near 7e10,
-with _kernels._SCAN_CHUNK patched down to 2**12).
+with _kernels._SCAN_CHUNK patched down to 2**12); and three semiprimes
+from 1e17 to just under 2**63, pinned to their splits and counters.
 
 Each input is factored by the driver, which must split off the smallest
 prime factor, and by both hide-seek variants in full and strip mode,
@@ -130,3 +131,27 @@ def test_strip_window_boundary(offset, scale, data):
     n, p = semiprime_with_root(data, chunk + offset, scale)
     with patch.object(_kernels, "_SCAN_CHUNK", chunk):
         check(n, p)
+
+
+# (variant, N, split, w, pairs, full-mode points, strip-mode points)
+LARGE = [
+    (factor, 99996208205355941, (7675357, 13028215913), 16, 7_302_447,
+     2_443_776, 2_443_991),
+    (factor, 8999978981976467731, (34204207, 263124912733), 16, 29_289_880,
+     9_147_488, 9_147_918),
+    (hide_seek_balanced, 1000435513056912929, (1000061681, 1000373809), 1123,
+     5_235_830, 1_793_208, 1_812_994),
+]
+
+
+def test_large_n_full_and_strip():
+    """Hard semiprimes at 1e17 and 9e18, just under the 2**63 limit, and a
+    balanced one at 1e18 split the same way in full and strip mode, at
+    the same width after the same pairs; strip mode counts more points
+    because its column windows overlap."""
+    for variant, n, split, w, pairs, *points in LARGE:
+        for strip, want in zip((False, True), points):
+            st = FactorStats()
+            assert variant(n, strip_mode=strip, stats=st) == Factorization(
+                n, *split), (n, strip)
+            assert (st.w, st.pairs, st.points) == (w, pairs, want), (n, strip)

@@ -292,18 +292,23 @@ def test_balanced_stats_add_up_across_calls():
 
 
 def test_general_enumerates_once_per_n(monkeypatch):
-    """Full-mode hide_seek_general enumerates each solution set once per
-    call, however many widths it tries."""
+    """Full-mode hide_seek_general enumerates both solution sets by one
+    _point_sets call per call, however many widths it tries, and never
+    through hyperbola_points."""
     from hideseek import _kernels
 
     calls = []
-    points = _kernels.hyperbola_points
 
-    def counted(*args):
-        calls.append(args)
-        return points(*args)
+    def counted(name):
+        fn = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "hyperbola_points", counted)
+        def wrapped(*args):
+            calls.append((name, *args))
+            return fn(*args)
+        monkeypatch.setattr(_kernels, name, wrapped)
+
+    counted("_point_sets")
+    counted("hyperbola_points")
     n = 1000003 * 1500007
     a = ceil_cbrt(n)
     for _ in range(2):
@@ -312,7 +317,7 @@ def test_general_enumerates_once_per_n(monkeypatch):
         assert hide_seek_general(n, stats=st) == Factorization(
             n, 1000003, 1500007)
         assert st.w >= 8  # at least three widths
-        assert calls == [(n, a), (n, a - 1)]
+        assert calls == [("_point_sets", n, a, a - 1)]
 
 
 def _oracle_scan(n, a, cell_w, cell_h, dxc, dyc):

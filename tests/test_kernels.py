@@ -70,6 +70,23 @@ def test_point_sets_share_one_inversion():
                 assert np.array_equal(x, y), (n, a, m2)
 
 
+def test_hyperbola_scan_given_sets():
+    """hyperbola_scan on the sets of _point_sets, passed by keyword, equals
+    the scan that enumerates them itself; sets is keyword-only, since the
+    benchmark's tracer replays each scan from its seven positional
+    arguments."""
+    rng = random.Random(57)
+    for _ in range(6):
+        a = rng.randrange(50, 3000)
+        n = rng.randrange(1, 1 << 62)
+        sets = K._point_sets(n, a, a - 1)
+        for w, h, dyc in ((isqrt(a) + 1, isqrt(a) + 1, 1), (4, a // 4, 2)):
+            assert K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc, sets=sets) == (
+                K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc)), (n, a, w)
+    with pytest.raises(TypeError):
+        K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc, sets)
+
+
 def test_inverses_for_backends_agree():
     rng = random.Random(42)
     for _ in range(30):

@@ -128,6 +128,24 @@ def test_second_moment_count_conservation():
         assert r.edge_points <= r.sum_counts
 
 
+def test_second_moment_sparse_grid():
+    """Past _TABLE_LIMIT**2 cells (a = 10007 with 2 x 2 cells is about
+    25M) the fundamental-square moment counts only the occupied cells;
+    its figures equal a pure-Python recount of the points."""
+    a, n, b = 10007, 123457, 2
+    cols = -(-a // b)
+    assert cols * cols > moments._TABLE_LIMIT ** 2
+    counts, edge = {}, 0
+    for x in range(1, a):
+        y = n * pow(x, -1, a) % a
+        cell = (x // b, y // b)
+        counts[cell] = counts.get(cell, 0) + 1
+        edge += x >= (cols - 1) * b or y >= (cols - 1) * b
+    r = second_moment_direct(n, a, b, b)
+    assert (r.sum_counts, r.sum_squares, r.edge_points) == (
+        sum(counts.values()), sum(c * c for c in counts.values()), edge)
+
+
 def test_second_moment_rejects_common_factor():
     with pytest.raises(ValueError):
         second_moment_direct(10, 5, 2, 2)
