@@ -195,9 +195,10 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
         cols = -(-a // cell_w)
         rows = -(-a // cell_h)
         cids = (ys // cell_h) * cols + xs // cell_w
-        # past _TABLE_LIMIT**2 cells count only the occupied ones, in
-        # O(phi(a)) memory
-        if cols * rows <= _TABLE_LIMIT ** 2:
+        # a counter per cell costs O(cells), sorting the cell ids
+        # O(phi(a) log phi(a)); they cross near 4 cells per point, and
+        # sorting keeps memory at O(phi(a)) on grids of billions of cells
+        if cols * rows <= 4 * xs.size:
             counts = np.bincount(cids, minlength=cols * rows)
         else:
             counts = np.unique(cids, return_counts=True)[1]

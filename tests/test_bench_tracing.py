@@ -73,7 +73,7 @@ def test_scan_equals_public_chain():
         finally:
             tracer.uninstall()
         rec = tracing.op_record(tracer.spans, lo, replay)
-        assert rec["factor.widths"] == len(tried), n
+        assert rec["factor.widths"] == len(tried) >= 1, n
         assert (rec["kernels.points"], rec["kernels.pairs"]) == (
             stats.points, stats.pairs), n
 

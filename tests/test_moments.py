@@ -129,12 +129,13 @@ def test_second_moment_count_conservation():
 
 
 def test_second_moment_sparse_grid():
-    """Past _TABLE_LIMIT**2 cells (a = 10007 with 2 x 2 cells is about
-    25M) the fundamental-square moment counts only the occupied cells;
-    its figures equal a pure-Python recount of the points."""
+    """Past 4 cells per point (a = 10007 with 2 x 2 cells is about 25M
+    cells for 10006 points) the fundamental-square moment counts only the
+    occupied cells; its figures equal a pure-Python recount of the
+    points."""
     a, n, b = 10007, 123457, 2
     cols = -(-a // b)
-    assert cols * cols > moments._TABLE_LIMIT ** 2
+    assert cols * cols > 4 * (a - 1)
     counts, edge = {}, 0
     for x in range(1, a):
         y = n * pow(x, -1, a) % a
