@@ -10,10 +10,14 @@ as one dense complex matrix product over the units, spectral_dense the
 Kloosterman double sum over that table, and torus_window_counts counts
 every wrapped window of the full-torus cell family point by point.
 
-Nothing here comes from hideseek._kernels or hideseek.moments; inverses
-are pow(x, -1, a).
+Digit polynomials: poly_search_brute tries every pair of digit vectors
+in [0, a)^(d+1) against an instance's sets.
+
+Nothing here comes from hideseek._kernels, hideseek.moments or
+hideseek.polysearch's search; inverses are pow(x, -1, a).
 """
 
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -118,3 +122,21 @@ def torus_window_counts(N, a, w, h):
         counts.extend(sum(1 for y in window if (y - t) % a < h)
                       for t in range(a))
     return counts
+
+
+def poly_search_brute(inst):
+    """Every digit-vector pair (ucs, vcs) in [0, a)^(d+1), least
+    significant digit first, whose polynomial values (u(delta), v(delta))
+    lie in inst.sets[delta] for every delta = 0..d; sorted."""
+    d, sets = inst.d, inst.sets
+    vecs = [(cs, [sum(c * t ** i for i, c in enumerate(cs))
+                  for t in range(d + 1)])
+            for cs in product(range(inst.a), repeat=d + 1)]
+    out = []
+    for ucs, xs in vecs:
+        ysets = [sets[t].get(x) for t, x in enumerate(xs)]
+        if None in ysets:
+            continue
+        out.extend((ucs, vcs) for vcs, ys in vecs
+                   if all(y in ysets[t] for t, y in enumerate(ys)))
+    return sorted(out)

@@ -184,6 +184,18 @@ GOLDEN = {
         '{"N": 77, "a": 4, "d": 2, "kind": "none"}\n',
         "N,a,d,kind,u,v\r\n"
         "77,4,2,none,,\r\n"),
+    "polyfactor 15 6 0": (0,
+        "15 = 3 * 5\n",
+        '{"N": 15, "a": 6, "d": 0, "kind": "composite", "u": 3, '
+        '"v": 5}\n',
+        "N,a,d,kind,u,v\r\n"
+        "15,6,0,composite,3,5\r\n"),
+    "polyfactor 77851 5 3": (0,
+        "77851 = 127 * 613\n",
+        '{"N": 77851, "a": 5, "d": 3, "kind": "composite", "u": 127, '
+        '"v": 613}\n',
+        "N,a,d,kind,u,v\r\n"
+        "77851,5,3,composite,127,613\r\n"),
 }
 
 # Command lines that fail alike in every format: (exit code, stderr),

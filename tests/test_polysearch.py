@@ -7,6 +7,7 @@ from hideseek.factor import Factorization
 from hideseek.polysearch import (
     DigitVector,
     InstanceTooLargeError,
+    PolyInstance,
     build_instance,
     digits,
     extended_solutions,
@@ -15,6 +16,7 @@ from hideseek.polysearch import (
     poly_search,
 )
 from hideseek.solutions import CommonFactor, HyperbolaPoint, solve_all
+from oracle import poly_search_brute
 
 
 def test_digits_examples():
@@ -152,12 +154,39 @@ def test_poly_search_planted_complete():
         assert (tuple(ud), tuple(vd)) in res or (tuple(vd), tuple(ud)) in res
 
 
+@pytest.mark.parametrize("d, amax, count",
+                         ((0, 40, 30), (1, 25, 20), (2, 12, 10), (3, 6, 1)))
+def test_poly_search_matches_brute_force(d, amax, count):
+    # exactly the digit-vector pairs whose values lie in every set, for
+    # every degree the search has a distinct path for
+    rng = random.Random(36 + d)
+    done = 0
+    while done < count:
+        a = rng.randrange(d + 2, amax)
+        n = rng.randrange(2, 10 ** 5)
+        inst = build_instance(n, a, d)
+        if isinstance(inst, CommonFactor):
+            continue
+        done += 1
+        assert poly_search(inst) == poly_search_brute(inst), (n, a, d)
+
+
+@pytest.mark.parametrize("inst, want", (
+    (PolyInstance(15, 6, 0, [{3: {5, 9}, 8: {1}, 5: {3}}]),
+     [((3,), (5,)), ((5,), (3,))]),
+    # (9, 1) and (2, 7) at delta 0 continue to (10, 2) and (3, 8) at
+    # delta 1, as digit vectors (9, 1) and (7, 1) would, but 9, 7 >= a
+    (PolyInstance(77, 6, 1, [{2: {3, 7}, 9: {1}}, {3: {5, 8}, 10: {2}}]),
+     [((2, 1), (3, 2)), ((2, 1), (3, 5))]),
+))
+def test_poly_search_hand_built_values_at_least_a(inst, want):
+    assert poly_search(inst) == poly_search_brute(inst) == want
+
+
 def test_poly_search_empty_instance():
     # no solutions in range: a set built from an instance whose sets are
     # emptied by the range bound cannot happen for valid moduli, so build
     # a synthetic empty instance instead
-    from hideseek.polysearch import PolyInstance
-
     inst = PolyInstance(91, 6, 1, [{}, {}])
     assert poly_search(inst) == []
 
