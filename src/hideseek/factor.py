@@ -58,7 +58,9 @@ class InvariantError(RuntimeError):
 
 
 class OutOfRangeError(ValueError):
-    """The input lies outside the range the hide-seek kernels support."""
+    """The input lies outside the supported range: N >= 2**63 where the
+    hide-seek kernels are needed, or past a size cap of the moments suite
+    or the digit-polynomial search."""
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .arith import euler_phi
+from .factor import OutOfRangeError
 from .rng import SplitMix64
 from .solutions import Rect
 # not called here: hsbench/tracing.py wraps hideseek.moments.count_in_rect
@@ -112,7 +113,7 @@ def kloosterman_abs2_table(a: int) -> np.ndarray:
     if a < 2:
         raise ValueError("modulus must be >= 2")
     if a > _TABLE_LIMIT:
-        raise ValueError(f"table limited to a <= {_TABLE_LIMIT}")
+        raise OutOfRangeError(f"table limited to a <= {_TABLE_LIMIT}")
     table = np.empty((a, a))
     n = np.arange(a, dtype=np.int64)
     for row, ms, us in _kloosterman_rows(a):
@@ -215,7 +216,8 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
                             mean, k0, edge)
 
     if a > _TABLE_LIMIT:
-        raise ValueError(f"torus scan limited to a <= {_TABLE_LIMIT}")
+        raise OutOfRangeError(
+            f"torus scan limited to a <= {_TABLE_LIMIT}")
     if gcd(cell_w, a) != 1 or gcd(cell_h, a) != 1:
         raise ValueError("torus domain requires gcd(w, a) = gcd(h, a) = 1")
     # p[1 + i, 1 + j] = indicator at (i mod a, j mod a); row and column 0
@@ -274,7 +276,8 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     if a < 2:
         raise ValueError("modulus must be >= 2")
     if a > _TABLE_LIMIT:
-        raise ValueError(f"spectral sum limited to a <= {_TABLE_LIMIT}")
+        raise OutOfRangeError(
+            f"spectral sum limited to a <= {_TABLE_LIMIT}")
     fw = _fejer_weights(cell_w, a)
     fh = _fejer_weights(cell_h, a)
     k = np.arange(a, dtype=np.int64)

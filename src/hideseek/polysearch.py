@@ -7,17 +7,19 @@ restricted to 0 < x, y < a * lambda_factor(d, delta).  Finding d+1 points
 (one per set) whose coordinates interpolate to integer polynomials with
 digits in [0, a) recovers U and V.
 
-The search is exhaustive over point tuples with incremental pruning:
+The search is exhaustive over point tuples with incremental pruning.
+Each side carries the last diagonal of its forward-difference table and
+its Newton coefficients:
 
-* integrality: the k-th forward difference of the chosen coordinates must
-  be divisible by k! and nonnegative (both exact consequences of integer
-  nonnegative coefficients);
-* growth: values are nondecreasing in delta and bounded by the set's
-  range, so tuples are extended in sorted order and cut early;
-* the last level is never scanned: the final coordinate is forced to
-  P(d) + t * d! with 0 <= t < a for the degree-(d-1) interpolant P, so x
-  is found by membership probes and each hit's y set is filtered by the
-  same congruence.
+* appending a value extends the diagonal to the new top difference
+  Delta^k, which must be nonnegative and divisible by k! (exact
+  consequences of nonnegative integer digits, which also make values
+  nondecreasing in delta); the quotient is the k-th Newton coefficient;
+* the last level is never scanned: the degree-(d-1) interpolant P has
+  P(d) = the diagonal's sum, so the final x is P(d) + t * d! with
+  0 <= t < a, found by membership probes, and each hit's y set is
+  filtered by the same congruence;
+* complete tuples are converted to monomial digits, checked in [0, a).
 
 Desk-scale by design; instances whose predicted set size exceeds the cap
 are refused up front.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .arith import euler_phi
-from .factor import Factorization
+from .factor import Factorization, OutOfRangeError
 from .solutions import CommonFactor, HyperbolaPoint, solve_all
 
 __all__ = [
@@ -47,7 +49,7 @@ __all__ = [
 MAX_INSTANCE_POINTS = 10**7
 
 
-class InstanceTooLargeError(ValueError):
+class InstanceTooLargeError(OutOfRangeError):
     """Predicted instance size exceeds the configured cap."""
 
 
@@ -72,13 +74,6 @@ class DigitVector:
         acc = 0
         for d in reversed(self.digits):
             acc = acc * self.base + d
-        return acc
-
-    def eval_at(self, t: int) -> int:
-        """The digit polynomial evaluated at t (value() is eval_at(base))."""
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * t + d
         return acc
 
 
@@ -172,28 +167,23 @@ def build_instance(N: int, a: int, d: int) -> PolyInstance | CommonFactor:
     return PolyInstance(N, a, d, sets)
 
 
-def _newton_to_monomial(values: list[int]) -> list[int] | None:
-    """Monomial coefficients of the degree-(len-1) interpolant through
-    (0, values[0]), (1, values[1]), ...; None unless all are integers.
+def _append(diag: list[int], v: int) -> list[int]:
+    """The last diagonal of a forward-difference table after appending
+    value v, given the old one: v, then each order's new last difference,
+    ending with the new top difference."""
+    out = [v]
+    for r in diag:
+        out.append(out[-1] - r)
+    return out
 
-    With unit-spaced nodes the Newton coefficients are Delta^k / k!, and
-    they are integers exactly when the monomial coefficients are.
-    """
-    n = len(values)
-    diffs = list(values)
-    newton = [diffs[0]]
-    for k in range(1, n):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        f = factorial(k)
-        if diffs[0] % f:
-            return None
-        newton.append(diffs[0] // f)
-    # expand sum_k newton[k] * t(t-1)...(t-k+1)
-    coeffs = [0] * n
-    falling = [1]  # coefficients of the rising product, low order first
-    for k in range(n):
+
+def _newton_to_monomial(newton: list[int]) -> list[int]:
+    """Monomial coefficients of sum_k newton[k] * t(t-1)...(t-k+1)."""
+    coeffs = [0] * len(newton)
+    falling = [1]  # coefficients of the falling product, low order first
+    for k, c_k in enumerate(newton):
         for j, c in enumerate(falling):
-            coeffs[j] += newton[k] * c
+            coeffs[j] += c_k * c
         nxt = [0] * (len(falling) + 1)
         for j, c in enumerate(falling):
             nxt[j + 1] += c
@@ -202,98 +192,52 @@ def _newton_to_monomial(values: list[int]) -> list[int] | None:
     return coeffs
 
 
-def _interp_at(values: list[int], t: int) -> int:
-    """Value at t of the interpolant through (0..len-1, values); integer
-    whenever the difference-divisibility prune held (binomial form)."""
-    n = len(values)
-    diffs = list(values)
-    acc = diffs[0]
-    binom = 1
-    for k in range(1, n):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        binom = binom * (t - (k - 1)) // k  # C(t, k), exact for integer t
-        acc += diffs[0] * binom
-    return acc
-
-
 def poly_search(inst: PolyInstance
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All digit vectors (u0..ud, v0..vd) whose polynomial points lie in
     the instance sets, sorted; sound and complete for planted instances."""
-    d = inst.d
-    a = inst.a
-    sets = inst.sets
+    d, a, sets = inst.d, inst.a, inst.sets
     fact_d = factorial(d)
     results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
-    def coeffs_ok(values: list[int]) -> tuple[int, ...] | None:
-        cs = _newton_to_monomial(values)
-        if cs is None or any(not 0 <= c < a for c in cs):
-            return None
-        return tuple(cs)
+    def digits_of(newton: list[int]) -> tuple[int, ...] | None:
+        cs = _newton_to_monomial(newton)
+        return tuple(cs) if all(0 <= c < a for c in cs) else None
 
-    def final_level(xs: list[int], ys: list[int]) -> None:
-        last = sets[d]
-        if d == 0:
-            # no interpolation freedom: the set point is the digit pair
-            for x, yset in last.items():
-                if x >= a:
-                    continue
-                for y in yset:
-                    if y < a:
-                        results.add(((x,), (y,)))
-            return
-        px = _interp_at(xs, d)
-        py = _interp_at(ys, d)
+    def final_level(xrow, yrow, xnewton, ynewton) -> None:
+        px, py = sum(xrow), sum(yrow)
         for t in range(a):
-            x = px + t * fact_d
-            yset = last.get(x)
+            yset = sets[d].get(px + t * fact_d)
             if yset is None:
                 continue
-            ucs = coeffs_ok(xs + [x])
+            ucs = digits_of(xnewton + [t])
             if ucs is None:
                 continue
             for y in yset:
-                if (y - py) % fact_d == 0 and 0 <= y - py < a * fact_d:
-                    vcs = coeffs_ok(ys + [y])
+                s, r = divmod(y - py, fact_d)
+                if r == 0 and 0 <= s < a:
+                    vcs = digits_of(ynewton + [s])
                     if vcs is not None:
                         results.add((ucs, vcs))
 
-    def extend(level: int, xs: list[int], ys: list[int]) -> None:
+    def extend(level, xrow, yrow, xnewton, ynewton) -> None:
         if level == d:
-            final_level(xs, ys)
+            final_level(xrow, yrow, xnewton, ynewton)
             return
         f = factorial(level)
         for x, yset in sets[level].items():
-            if level == 0 and x >= a:
+            xr = _append(xrow, x)
+            if xr[-1] < 0 or xr[-1] % f:
                 continue
-            if xs:
-                if x < xs[-1]:
-                    continue
-                dx = _top_difference(xs + [x])
-                if dx < 0 or dx % f:
-                    continue
+            xn = xnewton + [xr[-1] // f]
             for y in yset:
-                if level == 0 and y >= a:
+                yr = _append(yrow, y)
+                if yr[-1] < 0 or yr[-1] % f:
                     continue
-                if ys:
-                    if y < ys[-1]:
-                        continue
-                    dy = _top_difference(ys + [y])
-                    if dy < 0 or dy % f:
-                        continue
-                extend(level + 1, xs + [x], ys + [y])
+                extend(level + 1, xr, yr, xn, ynewton + [yr[-1] // f])
 
-    extend(0, [], [])
+    extend(0, [], [], [], [])
     return sorted(results)
-
-
-def _top_difference(values: list[int]) -> int:
-    """Highest-order forward difference of the value list."""
-    diffs = list(values)
-    while len(diffs) > 1:
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-    return diffs[0]
 
 
 def factor_via_poly(N: int, a: int, d: int) -> Factorization | None:

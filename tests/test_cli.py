@@ -208,6 +208,12 @@ GOLDEN_ERRORS = {
         "--spectral requires --rect (full-torus domain)\n"),
     "factor 0": (2,
         "N must be >= 1\n"),
+    "polyfactor 7 1000000 9": (4,
+        "input outside the supported range: predicted 56453760 points "
+        "exceeds cap\n"),
+    "moment 1 4099 --rect 1 1": (4,
+        "input outside the supported range: torus scan limited to "
+        "a <= 4096\n"),
 }
 
 FORMATS = ("plain", "json", "csv")

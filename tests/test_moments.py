@@ -6,6 +6,7 @@ import pytest
 
 from hideseek import moments
 from hideseek.arith import divisor_count, euler_phi
+from hideseek.factor import OutOfRangeError
 from hideseek.moments import (
     MomentDomain,
     coprime_adjust,
@@ -145,6 +146,17 @@ def test_second_moment_sparse_grid():
     r = second_moment_direct(n, a, b, b)
     assert (r.sum_counts, r.sum_squares, r.edge_points) == (
         sum(counts.values()), sum(c * c for c in counts.values()), edge)
+
+
+def test_size_limits_are_out_of_range():
+    # the CLI exits 4 on these, not 2 as for a usage error
+    torus = MomentDomain.FULL_TORUS_Q2
+    with pytest.raises(OutOfRangeError, match="table limited"):
+        kloosterman_abs2_table(4099)
+    with pytest.raises(OutOfRangeError, match="torus scan limited"):
+        second_moment_direct(1, 4099, 1, 1, torus)
+    with pytest.raises(OutOfRangeError, match="spectral sum limited"):
+        second_moment_spectral(1, 4099, 2, 3)
 
 
 def test_second_moment_rejects_common_factor():

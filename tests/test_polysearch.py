@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from hideseek.factor import Factorization
+from hideseek.factor import Factorization, OutOfRangeError
 from hideseek.polysearch import (
     DigitVector,
     InstanceTooLargeError,
@@ -98,6 +98,8 @@ def test_extended_solutions_common_factor_signal():
 def test_instance_size_cap():
     with pytest.raises(InstanceTooLargeError):
         extended_solutions(7, 10 ** 6, 9, 9)
+    # the CLI exits 4 on it, not 2 as for a usage error
+    assert issubclass(InstanceTooLargeError, OutOfRangeError)
 
 
 def test_poly_search_degree_one_recovers_pairing():
