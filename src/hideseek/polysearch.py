@@ -204,8 +204,8 @@ def poly_search(inst: PolyInstance
         cs = _newton_to_monomial(newton)
         return tuple(cs) if all(0 <= c < a for c in cs) else None
 
-    def final_level(xrow, yrow, xnewton, ynewton) -> None:
-        px, py = sum(xrow), sum(yrow)
+    def final_level(xdiag, ydiag, xnewton, ynewton) -> None:
+        px, py = sum(xdiag), sum(ydiag)
         for t in range(a):
             yset = sets[d].get(px + t * fact_d)
             if yset is None:
@@ -220,18 +220,18 @@ def poly_search(inst: PolyInstance
                     if vcs is not None:
                         results.add((ucs, vcs))
 
-    def extend(level, xrow, yrow, xnewton, ynewton) -> None:
+    def extend(level, xdiag, ydiag, xnewton, ynewton) -> None:
         if level == d:
-            final_level(xrow, yrow, xnewton, ynewton)
+            final_level(xdiag, ydiag, xnewton, ynewton)
             return
         f = factorial(level)
         for x, yset in sets[level].items():
-            xr = _append(xrow, x)
+            xr = _append(xdiag, x)
             if xr[-1] < 0 or xr[-1] % f:
                 continue
             xn = xnewton + [xr[-1] // f]
             for y in yset:
-                yr = _append(yrow, y)
+                yr = _append(ydiag, y)
                 if yr[-1] < 0 or yr[-1] % f:
                     continue
                 extend(level + 1, xr, yr, xn, ynewton + [yr[-1] // f])
