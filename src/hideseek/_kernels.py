@@ -13,7 +13,7 @@ versions are also the reference the tests hold the numpy ones to.  The
 active backend's three kernels are bound once at import (_inverses,
 _bucket, _pair_scan); everything else, the solution enumerator _points
 included, is shared numpy code.  `benchmarks/compare_backends.py`
-times the twins against each other.
+times the twins against each other, and _points' two paths.
 
 The numpy twins of the first two do linear work, as the loops do: batch
 inversion scans the prefix and suffix products as two rows of one
@@ -21,10 +21,22 @@ blocked scan (_modprod_scan, about 2 multiplications per value), and
 bucketing is one stable radix sort on uint16 cell ids where the cells
 fit, else two stable sorts, by window column and then by row, where the
 first meets callers' points already in order and the second is a radix
-sort on uint16 rows.  The whole-grid enumeration of both sets, mod a and
-mod a-1, shares one batch inversion mod a*(a-1) while that fits the
-kernels' modulus range (_point_sets), in hyperbola_scan, the full-mode
-scan of both factorers, or once in a caller that passes it the sets.
+sort on uint16 rows.
+
+_points, the one solution enumerator, has two paths, chosen by one size
+rule (_TABLE_MIN).  A whole range [0, m) with m >= 2**15, m not a power
+of a prime <= 64, is built from one inverse table per prime-power
+factor q of m (_factor_table: for a large prime power, the recurrence
+inv(x) = -(q div x) * inv(q mod x) over the ranges of q div x, each a
+strided pass; else batch inversion over its units), scaled for the CRT
+and summed over [0, m) (_table_points).  Near m = 2**20 that is about
+3 to 8 times faster than batch inversion on prime, 2p and smooth m.
+Column windows and smaller ranges take one batch inversion over their
+units.
+The whole-grid enumeration of both sets, mod a and mod a-1, shares one
+batch inversion mod a*(a-1) below the same size (_point_sets), in
+hyperbola_scan, the full-mode scan of both factorers, or once in a
+caller that passes it the sets.
 
 The numpy pair scan costs about one pass per candidate: shifted cells
 are row-major, so a base column's neighbor columns in one shifted row,
@@ -34,10 +46,11 @@ one range, in cache-sized blocks, and a pair's base-a x digit has one
 candidate value, plus a second only where the two x coordinates are
 equal, so one n % u on positive divisors rejects nearly every pair.
 
-All kernels work in int64.  Callers guarantee N < 2**63 and modulus
-m < 2**31, so every intermediate product here fits in int64 (products of
-two residues < m**2 < 2**62; candidate checks use division instead of
-forming u*v).
+All kernels work in int64 (the table path's running sum of residues
+below 2*m is int32 where that fits).  Callers guarantee N < 2**63 and
+modulus m < 2**31, so every intermediate product here fits in int64
+(products of two residues < m**2 < 2**62; candidate checks use division
+instead of forming u*v).
 
 Neighbor semantics: cells are cell_w wide except the last column, which
 is truncated to a - (cols-1)*cell_w.  A candidate column is a neighbor
@@ -549,29 +562,127 @@ def _check_mod(m: int) -> None:
         raise ValueError(f"modulus out of kernel range [2, 2**31): {m}")
 
 
-def _units(m: int, x0: int, hi: int) -> np.ndarray:
-    """The units mod m in [x0, hi), ascending, by a mask over the range."""
-    xs = np.arange(x0, hi, dtype=np.int64)
-    mask = np.ones(xs.size, dtype=bool)
-    for p, _ in prime_factors(m):
+def _units(m: int, x0: int, hi: int, factors=None) -> np.ndarray:
+    """The units mod m in [x0, hi), ascending, by a mask over the range;
+    factors, prime_factors(m), when the caller has it."""
+    mask = np.ones(hi - x0, dtype=bool)
+    for p, _ in prime_factors(m) if factors is None else factors:
         mask[(-x0) % p::p] = False
-    return xs[mask]
+    xs = np.flatnonzero(mask)
+    if x0:
+        xs += x0
+    return xs
+
+
+# The size rule of _points: a whole range [0, m) with m >= _TABLE_MIN is
+# enumerated from prime-power tables (_table_points) unless m is a power
+# of a prime <= _RANGES, whose one table would be the batch inversion
+# itself; every other range, column windows included, takes one batch
+# inversion over its units.  The tables have fixed costs (a few numpy
+# calls per factor and per range of q // x): at 2**14 they still lost to
+# batch inversion by up to 30% on m = 2p, 6p and smooth m; from 2**15 on
+# they tied or won on every shape timed, and near 2**20 they were 3 to 9
+# times faster (benchmarks/compare_backends.py times both).
+_TABLE_MIN = 1 << 15
+# _factor_table fills q/_RANGES < x < q from the recurrence, one numpy
+# call per range of q // x, and the bottom by batch inversion.
+_RANGES = 64
+
+
+def _factor_table(n: int, m: int, p: int, e: int) -> np.ndarray:
+    """The CRT summand of the factor q = p**e of m, over [0, q): at each
+    unit r mod q, t[r] = M * (n * inv(r) * inv(M) mod q) with M = m // q,
+    so that n * inv(x) mod m is the sum of t[x mod q] over the factors,
+    reduced mod m.  Entries at non-units are unspecified; all are in [0, m].
+
+    Where q >= _RANGES**2 and p > _RANGES, batch inversion fills the
+    units up to q // _RANGES and the rest follows from
+    inv(x) = -(q div x) * inv(q mod x): on the range
+    q/(k+1) < x <= q/k, q div x = k and q mod x = q - k*x is a unit below
+    the range (p does not divide k < p), read from the table at stride k.
+    Every step is linear in inv, so the scale M * n * inv(M) rides along
+    in arithmetic mod m (M*a mod M*q = M*(a mod q)).  x > q/2 is
+    q - x' with x' < q/2, and t[q - x'] = m - t[x'].  Any other q is one
+    batch inversion over its units.
+    """
+    q = p ** e
+    cof = m // q
+    s = n * pow(cof, -1, q) % q
+    t = np.zeros(q, dtype=np.int64)
+    if s == 0:
+        return t
+    if p <= _RANGES or q < _RANGES * _RANGES:
+        xs = _units(q, 0, q, [(p, e)])
+        t[xs] = _inverses(xs, q) * s % q * cof
+        return t
+    xs = _units(q, 1, q // _RANGES + 1, [(p, e)])
+    t[xs] = _inverses(xs, q) * s % q * cof
+    for k in range(_RANGES - 1, 1, -1):
+        lo, hi = q // (k + 1) + 1, q // k
+        if lo > hi:
+            continue
+        # q - k*x for x = lo..hi, a descending run at stride k
+        dst = t[lo:hi + 1]
+        np.multiply(t[q - k * lo:q - k * hi - 1:-k], q - k, out=dst)
+        np.remainder(dst, m, out=dst)
+    h = q // 2
+    np.subtract(m, t[q - h - 1:0:-1], out=t[h + 1:])
+    return t
+
+
+def _table_points(n: int, m: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """_points over all of [0, m) from one _factor_table per prime power.
+
+    The tables are summed over [0, m) smallest factor first: the sum so
+    far, periodic with period Q, is reduced mod m and copied out to Q*q
+    by doubling, and the table of q is added along the rows of its (Q, q)
+    view, so the largest factor's table runs along the longest rows.  At
+    the units the sum is below 2*m, so it is held in int32 while 2*m
+    fits, and one conditional subtraction reduces it.
+    """
+    xs = _units(m, 0, m, factors)
+    qs = sorted((p ** e, p, e) for p, e in factors)
+    dt = np.int32 if 2 * m < _MAX_MOD else np.int64
+    acc = _factor_table(n, m, qs[0][1], qs[0][2])
+    for q, p, e in qs[1:]:
+        acc %= m
+        out = np.empty(acc.size * q, dtype=dt)
+        out[:acc.size] = acc
+        done = acc.size
+        while done < out.size:
+            k = min(done, out.size - done)
+            out[done:done + k] = out[:k]
+            done += k
+        acc = out
+        acc.reshape(-1, q)[:] += _factor_table(n, m, p, e)
+    ys = np.take(acc, xs)
+    del acc
+    # unsigned, ys - m wraps past ys where ys < m
+    u = ys.view(f"u{ys.itemsize}")
+    np.minimum(u, u - u.dtype.type(m), out=u)
+    return xs, ys.astype(np.int64, copy=False)
 
 
 def _points(n: int, m: int, x0: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(xs, ys) of the solutions of x*y == n (mod m) with x in [x0, hi),
-    x ascending: the units, then one batch inversion."""
-    xs = _units(m, x0, hi)
+    x ascending: by the size rule at _TABLE_MIN, from prime-power inverse
+    tables (_table_points) or from the units and one batch inversion."""
+    factors = prime_factors(m)
+    if (x0, hi) == (0, m) and m >= _TABLE_MIN and (
+            len(factors) > 1 or factors[0][0] > _RANGES):
+        return _table_points(n, m, factors)
+    xs = _units(m, x0, hi, factors)
     return xs, n % m * _inverses(xs, m) % m
 
 
 def _point_sets(n: int, a: int, m2: int) -> tuple[np.ndarray, ...]:
     """(bx, by, sx, sy): _points over all of [0, a) mod a and of [0, m2)
-    mod m2.  Where m2 = a - 1 and a*m2 < 2**31, one batch inversion mod
-    a*m2 serves both sets: as a = 1 mod m2, z = x + a*((x' - x) mod m2)
-    is x mod a and x' mod m2, so z's inverse reduces to both inverses
-    (the shorter set padded with 1)."""
-    if m2 != a - 1 or a * m2 >= _MAX_MOD:
+    mod m2.  Where m2 = a - 1 and a < _TABLE_MIN (so a*m2 < 2**30), one
+    batch inversion mod a*m2 serves both sets: as a = 1 mod m2,
+    z = x + a*((x' - x) mod m2) is x mod a and x' mod m2, so z's inverse
+    reduces to both inverses (the shorter set padded with 1).  From
+    _TABLE_MIN on, each set is its own _points call."""
+    if m2 != a - 1 or a >= _TABLE_MIN:
         return (*_points(n, a, 0, a), *_points(n, m2, 0, m2))
     bx, sx = _units(a, 0, a), _units(m2, 0, m2)
     x = np.ones((2, max(bx.size, sx.size)), dtype=np.int64)

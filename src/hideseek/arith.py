@@ -2,11 +2,16 @@
 
 Everything here is plain integer arithmetic: gcd family, the standard
 multiplicative functions (phi, tau, mu) by trial factorization, exact
-integer cube roots, and single/batch modular inverses.  Batch inversion
-over the units of m uses prefix products: one multiplication pass, a
-single extended-gcd inversion, and a back-substitution pass, so the whole
-table costs O(m) multiplications on either backend (the numpy one scans
-the products in blocks, see _kernels._modprod_scan).
+integer cube roots, and single/batch modular inverses.  The table of
+inverses of all units mod m costs O(m) multiplications on either
+backend, by one of the two paths of _kernels._points.  From m = 2**15 it
+is built from one table per prime-power factor of m, combined by the
+CRT; large prime powers fill theirs by the recurrence
+inv(x) = -(q div x) * inv(q mod x).  Below 2**15, for powers of a
+prime <= 64, and for the factors the recurrence does not take, it is
+batch inversion by prefix products: one multiplication pass, a single
+extended-gcd inversion, and a back-substitution pass (the numpy backend
+scans the products in blocks, see _kernels._modprod_scan).
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ def mod_inv(x: int, m: int) -> int | None:
 
 
 def batch_inverses(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert every unit mod m in one pass (prefix-product trick): the
-    arrays (units, inverses), units ascending."""
+    """Invert every unit mod m: the arrays (units, inverses), units
+    ascending, from prime-power inverse tables or one batch inversion
+    (see the module docstring)."""
     return _kernels.unit_inverse_table(m)
 
 

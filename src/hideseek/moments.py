@@ -211,8 +211,9 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
         if rows * cell_h > a:
             edge_mask = edge_mask | (ys >= (rows - 1) * cell_h)
         edge = int(np.count_nonzero(edge_mask))
+        # the dot product sums the squares without a second counts array
         return MomentReport(N, a, cell_w, cell_h, domain,
-                            int(counts.sum()), int((counts ** 2).sum()),
+                            int(counts.sum()), int(counts @ counts),
                             mean, k0, edge)
 
     if a > _TABLE_LIMIT:

@@ -105,6 +105,22 @@ def lambda_factor(d: int, delta: int) -> int:
     return (delta ** (d + 1) - 1) // (delta - 1)
 
 
+def _extent(a: int, delta: int, d: int) -> tuple[int, int]:
+    """(m, bound) of one extended set: the modulus a - delta and the range
+    bound a*lambda; a set whose predicted size, phi(m) points times the
+    translates per axis squared, exceeds the cap is refused."""
+    m = a - delta
+    if m < 2:
+        raise ValueError("a - delta must be >= 2")
+    bound = a * lambda_factor(d, delta)
+    reach = -(-bound // m)  # translates per axis, upper bound
+    predicted = euler_phi(m) * reach * reach
+    if predicted > MAX_INSTANCE_POINTS:
+        raise InstanceTooLargeError(
+            f"predicted {predicted} points exceeds cap")
+    return m, bound
+
+
 def extended_solutions(N: int, a: int, delta: int, d: int
                        ) -> list[HyperbolaPoint] | CommonFactor:
     """All solutions of x*y == N (mod a - delta) with 0 < x, y < a*lambda.
@@ -112,15 +128,7 @@ def extended_solutions(N: int, a: int, delta: int, d: int
     The phi(a - delta) fundamental solutions replicated across translates
     by the modulus, truncated at the range bound.
     """
-    m = a - delta
-    if m < 2:
-        raise ValueError("a - delta must be >= 2")
-    lam = lambda_factor(d, delta)
-    bound = a * lam
-    reach = -(-bound // m)  # translates per axis, upper bound
-    if euler_phi(m) * reach * reach > MAX_INSTANCE_POINTS:
-        raise InstanceTooLargeError(
-            f"predicted {euler_phi(m) * reach * reach} points exceeds cap")
+    m, bound = _extent(a, delta, d)
     base = solve_all(N, m)
     if isinstance(base, CommonFactor):
         return base
@@ -152,9 +160,12 @@ class PolyInstance:
 
 
 def build_instance(N: int, a: int, d: int) -> PolyInstance | CommonFactor:
-    """Enumerate all d+1 extended sets; a common factor aborts early."""
+    """Enumerate all d+1 extended sets; a common factor aborts early.
+    Every set's predicted size is checked before the first is built."""
     if d < 0:
         raise ValueError("d must be >= 0")
+    for delta in range(d + 1):
+        _extent(a, delta, d)
     sets: list[dict[int, set[int]]] = []
     for delta in range(d + 1):
         pts = extended_solutions(N, a, delta, d)

@@ -78,7 +78,10 @@ class SolutionSet:
 
 
 def solve_all(N: int, m: int) -> SolutionSet | CommonFactor:
-    """Every solution (x, N*inv(x) mod m); exactly phi(m) points."""
+    """Every solution (x, N*inv(x) mod m); exactly phi(m) points.  From
+    m = 2**15 the inverses come from one inverse table per prime-power
+    factor of m, combined by the CRT; below, and for powers of a prime
+    <= 64, from one batch inversion over the units (_kernels._points)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     g = gcd(N, m)

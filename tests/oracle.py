@@ -10,6 +10,9 @@ as one dense complex matrix product over the units, spectral_dense the
 Kloosterman double sum over that table, and torus_window_counts counts
 every wrapped window of the full-torus cell family point by point.
 
+Solution sets: solutions_by_pow enumerates x*y == n (mod m) point by
+point, and fundamental_moment counts its points in the cells of a grid.
+
 Digit polynomials: poly_search_brute tries every pair of digit vectors
 in [0, a)^(d+1) against an instance's sets.
 
@@ -85,6 +88,27 @@ def check_candidate(N, a, p, q):
 def _units_and_inverses(a):
     units = [x for x in range(a) if gcd(x, a) == 1]
     return units, [pow(x, -1, a) for x in units]
+
+
+def solutions_by_pow(n, m):
+    """(xs, ys) lists of the solutions of x*y == n (mod m) in [0, m)^2, x
+    ascending, with y = n * pow(x, -1, m) mod m."""
+    units, invs = _units_and_inverses(m)
+    return units, [n * xbar % m for xbar in invs]
+
+
+def fundamental_moment(n, a, w, h):
+    """(sum_counts, sum_squares, edge_points) of the solutions mod a in
+    the w x h cells tiling [0, a)^2, edge cells truncated, point by
+    point; edge_points counts the points in a truncated column or row."""
+    cols, rows = -(-a // w), -(-a // h)
+    counts, edge = {}, 0
+    for x, y in zip(*solutions_by_pow(n, a)):
+        cell = (x // w, y // h)
+        counts[cell] = counts.get(cell, 0) + 1
+        edge += (cols * w > a and x >= (cols - 1) * w
+                 or rows * h > a and y >= (rows - 1) * h)
+    return (sum(counts.values()), sum(c * c for c in counts.values()), edge)
 
 
 def kloosterman_abs2_dense(a):

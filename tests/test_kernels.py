@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hideseek import _kernels as K
-from oracle import check_candidate, neighbor_pairs
+from hideseek.arith import prime_factors
+from oracle import check_candidate, neighbor_pairs, solutions_by_pow
 
 
 def test_backend_flag_reported():
@@ -56,11 +57,12 @@ def test_hyperbola_points_ranges_against_pow():
 
 def test_point_sets_share_one_inversion():
     """hyperbola_scan's two whole-grid solution sets equal _points' own
-    enumerations: by one inversion mod a*(a-1) up to a = 46341, the
-    largest a with a*(a-1) < 2**31, and separately above it or for a
-    second modulus other than a - 1."""
+    enumerations: by one inversion mod a*(a-1) below a = _TABLE_MIN =
+    2**15, and separately from it on or for a second modulus other than
+    a - 1."""
+    assert K._TABLE_MIN == 1 << 15
     rng = random.Random(56)
-    for a in [3, 4, 6, 30031, 46341, 46342, 65536] + [
+    for a in [3, 4, 6, 30031, 32767, 32768, 46341, 46342, 65536] + [
             rng.randrange(4, 46341) for _ in range(10)]:
         n = rng.randrange(1, 1 << 62)
         for m2 in (a - 1, a - 2) if a > 3 else (a - 1,):
@@ -68,6 +70,76 @@ def test_point_sets_share_one_inversion():
             want = (*K._points(n, a, 0, a), *K._points(n, m2, 0, m2))
             for x, y in zip(got, want):
                 assert np.array_equal(x, y), (n, a, m2)
+
+
+def test_table_path_against_pow(monkeypatch):
+    """Whole ranges from _TABLE_MIN on: on m prime, 2p, 3p and 4p, the
+    prime powers 2**e, 3**e and p**2, and smooth m, for n = 0, n sharing
+    each prime of m, a unit past m, and n = 1 (the inverse table),
+    hyperbola_points and unit_inverse_table equal the pow(x, -1, m)
+    enumeration.  Powers of a prime <= _RANGES keep batch inversion, whose
+    one table the tables would be; every other modulus here takes them."""
+    taken = []
+    tables = K._table_points
+
+    def spy(n, m, factors):
+        taken.append(m)
+        return tables(n, m, factors)
+
+    monkeypatch.setattr(K, "_table_points", spy)
+    rng = random.Random(58)
+    batch = [1 << 15, 1 << 16, 3 ** 10]
+    moduli = [32771, 65537, 2 * 16411, 3 * 10937, 4 * 8209, 191 ** 2,
+              61 ** 2 * 9, 7 * 4801, 2 ** 6 * 3 ** 3 * 5 * 7, 60060] + batch
+    for m in moduli:
+        assert m >= K._TABLE_MIN
+        units, invs = solutions_by_pow(1, m)
+        got = K.unit_inverse_table(m)
+        assert got[0].tolist() == units and got[1].tolist() == invs, m
+        ns = [0, rng.randrange(1, m) | 1, rng.randrange(m, 1 << 62)]
+        ns += [p * rng.randrange(1, 1000) for p, _ in prime_factors(m)]
+        for n in ns:
+            xs, ys = K.hyperbola_points(n, m)
+            assert xs.dtype == ys.dtype == np.int64
+            assert xs.tolist() == units, (m, n)
+            assert ys.tolist() == [n * v % m for v in invs], (m, n)
+    assert sorted(set(taken)) == sorted(set(moduli) - set(batch))
+
+
+def test_factor_table_range_edges():
+    """_factor_table's CRT summand of q = p**e in m = q*M equals
+    M * (n * inv(x) * inv(M) mod q) at every unit x of q, and so at the
+    ends x = q // k and q // k + 1 of the recurrence's ranges, checked by
+    name; q prime and p**2 past _RANGES**2, the bottom of batch inversion
+    included, for M = 1, 5 and the prime 48221, which takes m = 211**2 * M
+    near 2**31, and n a unit, a multiple of q and 0."""
+    for q, p, e in ((4099, 4099, 1), (32771, 32771, 1), (67 ** 2, 67, 2),
+                    (211 ** 2, 211, 2)):
+        for cof in (1, 5, 48221):
+            m = q * cof
+            for n in (123456789, 7 * q, 0):
+                t = K._factor_table(n, m, p, e).tolist()
+                s = n * pow(cof, -1, q) % q
+                want = {x: cof * (s * pow(x, -1, q) % q)
+                        for x in range(1, q) if x % p}
+                assert {x: t[x] for x in want} == want, (q, cof, n)
+                edges = {q // k + d for k in range(1, K._RANGES + 1)
+                         for d in (0, 1)}
+                assert all(t[x] == want[x] for x in edges if x in want)
+                assert all(0 <= v <= m for v in t)
+
+
+def test_point_sets_against_pow():
+    """_point_sets on both sides of _TABLE_MIN and past a = 46341, where
+    a*(a-1) >= 2**31: each set equals its own pow(x, -1, m) enumeration."""
+    rng = random.Random(59)
+    for a in (32767, 32768, 32772, 46341, 46342, 65537):
+        n = rng.randrange(1, 1 << 62)
+        got = K._point_sets(n, a, a - 1)
+        for m, xs, ys in ((a, *got[:2]), (a - 1, *got[2:])):
+            units, invs = solutions_by_pow(1, m)
+            assert xs.tolist() == units, (a, m)
+            assert ys.tolist() == [n * v % m for v in invs], (a, m)
 
 
 def test_hyperbola_scan_given_sets():

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ from hideseek.moments import (
     second_moment_spectral,
 )
 from hideseek.solutions import Rect, count_in_rect
-from oracle import kloosterman_abs2_dense, spectral_dense, torus_window_counts
+from oracle import (
+    fundamental_moment,
+    kloosterman_abs2_dense,
+    solutions_by_pow,
+    spectral_dense,
+    torus_window_counts,
+)
 
 
 def test_kloosterman_examples():
@@ -146,6 +152,38 @@ def test_second_moment_sparse_grid():
     r = second_moment_direct(n, a, b, b)
     assert (r.sum_counts, r.sum_squares, r.edge_points) == (
         sum(counts.values()), sum(c * c for c in counts.values()), edge)
+
+
+def test_moments_on_the_table_path(monkeypatch):
+    """At a ~ 2**17 (a = 2p, 4p, prime and smooth), where the solutions
+    come from prime-power tables, second_moment_direct on isqrt(a) cells
+    and every deviation_scan record equal pure-Python recounts from
+    pow(x, -1, a)."""
+    from hideseek import _kernels
+
+    taken = []
+    tables = _kernels._table_points
+
+    def spy(n, m, factors):
+        taken.append(m)
+        return tables(n, m, factors)
+
+    monkeypatch.setattr(_kernels, "_table_points", spy)
+    cases = ((123457, 2 * 65537, 1), (98765, 4 * 32771, 2),
+             (31, 131071, 3), (97, 2 ** 3 * 3 * 5 * 7 * 11 * 13, 4))
+    for n, a, seed in cases:
+        s = isqrt(a)
+        r = second_moment_direct(n, a, s, s)
+        assert (r.sum_counts, r.sum_squares, r.edge_points) == (
+            fundamental_moment(n, a, s, s)), a
+        rep = deviation_scan(n, a, 12, seed, keep_records=True)
+        ys = dict(zip(*solutions_by_pow(n, a)))
+        for t in rep.records:
+            rect = t.rect
+            assert t.count == sum(1 for x in range(rect.x1, rect.x2)
+                                  if rect.y1 <= ys.get(x, -1) < rect.y2), (
+                a, t)
+    assert taken == [a for _, a, _ in cases for _ in range(2)]
 
 
 def test_size_limits_are_out_of_range():

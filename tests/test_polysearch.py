@@ -102,6 +102,32 @@ def test_instance_size_cap():
     assert issubclass(InstanceTooLargeError, OutOfRangeError)
 
 
+def test_instance_cap_checked_before_any_set(monkeypatch, capsys):
+    """build_instance refuses an instance whose later set is over the cap
+    before it enumerates any set: delta 0 of (7, 10**6, 9) alone would be
+    400,000 points, delta 1 is predicted at 56,453,760.  The CLI exits 4
+    on it, with no set enumerated either."""
+    from hideseek import polysearch
+    from hideseek.cli import main
+
+    calls = []
+
+    def spy(N, m):
+        calls.append((N, m))
+        return solve_all(N, m)
+
+    monkeypatch.setattr(polysearch, "solve_all", spy)
+    with pytest.raises(InstanceTooLargeError, match="56453760"):
+        build_instance(7, 10 ** 6, 9)
+    assert calls == []
+    assert main(["polyfactor", "7", "1000000", "9"]) == 4
+    assert calls == []
+    assert "56453760" in capsys.readouterr().err
+    # under the cap every set is still built, one solve_all per delta
+    build_instance(77, 6, 1)
+    assert calls == [(77, 6), (77, 5)]
+
+
 def test_poly_search_degree_one_recovers_pairing():
     inst = build_instance(77, 6, 1)
     res = poly_search(inst)
