@@ -142,6 +142,81 @@ def test_point_sets_against_pow():
             assert ys.tolist() == [n * v % m for v in invs], (a, m)
 
 
+# hyperbola_scan's (u, v, points, pairs), recorded from the scan that
+# bucketed both sets and expanded from the set mod a.  For each level
+# 1e12, 1e14, 1e16 and each shape of a (even, odd, 3 | a): a balanced
+# semiprime on its square cells at radius 1, then a semiprime with
+# p // a = 4 on the general variant's w x (a // w) cells, w = 2..16, at
+# radii (1, 2).
+SCAN_GOLDENS = [
+    # (n, a, w, h, dyc, (u, v, points, pairs))
+    (827248592711, 11828, 109, 109, 1, (872453, 948187, 17738, 53712)),
+    (1574493137797, 11634, 2, 5817, 2, (0, 0, 14944, 19868)),
+    (1574493137797, 11634, 4, 2908, 2, (48673, 32348389, 14944, 39739)),
+    (1574493137797, 11634, 8, 1454, 2, (48673, 32348389, 14944, 49741)),
+    (1574493137797, 11634, 16, 727, 2, (0, 0, 14944, 49841)),
+    (1507408372243, 14447, 121, 121, 1, (943127, 1598309, 21406, 63630)),
+    (1423387903361, 11249, 2, 5624, 2, (0, 0, 14820, 26642)),
+    (1423387903361, 11249, 4, 2812, 2, (48299, 29470339, 14820, 53292)),
+    (1423387903361, 11249, 8, 1406, 2, (48299, 29470339, 14820, 66693)),
+    (1423387903361, 11249, 16, 703, 2, (0, 0, 14820, 66653)),
+    (700980563527, 11193, 106, 106, 1, (815197, 859891, 11352, 26204)),
+    (1214973939307, 10671, 2, 5335, 2, (0, 0, 10952, 15356)),
+    (1214973939307, 10671, 4, 2667, 2, (49757, 24418151, 10952, 30709)),
+    (1214973939307, 10671, 8, 1333, 2, (49757, 24418151, 10952, 38198)),
+    (1214973939307, 10671, 16, 666, 2, (0, 0, 10952, 38662)),
+    (132683961410107, 64262, 254, 254, 1, (8205497, 16170131, 91444, 247696)),
+    (145409094143557, 52586, 2, 26293, 2, (0, 0, 65076, 116348)),
+    (145409094143557, 52586, 4, 13146, 2, (230929, 629670133, 65076, 232700)),
+    (145409094143557, 52586, 8, 6573, 2, (230929, 629670133, 65076, 291936)),
+    (145409094143557, 52586, 16, 3286, 2, (0, 0, 65076, 291710)),
+    (101176118352299, 58709, 243, 243, 1, (8965447, 11285117, 77388, 211288)),
+    (112084110309907, 48215, 2, 24107, 2, (0, 0, 62674, 115695)),
+    (112084110309907, 48215, 4, 12053, 2, (216829, 516923983, 62674, 231390)),
+    (112084110309907, 48215, 8, 6026, 2, (216829, 516923983, 62674, 289016)),
+    (112084110309907, 48215, 16, 3013, 2, (0, 0, 62674, 289357)),
+    (161926964495983, 68673, 263, 263, 1, (9631327, 16812529, 73856, 177834)),
+    (123076581723833, 49743, 2, 24871, 2, (0, 0, 50436, 69109)),
+    (123076581723833, 49743, 4, 12435, 2, (210523, 584622971, 50436, 138213)),
+    (123076581723833, 49743, 8, 6217, 2, (210523, 584622971, 50436, 172811)),
+    (123076581723833, 49743, 16, 3108, 2, (0, 0, 50436, 172658)),
+    (8215909282267483, 254232, 505, 505, 1,
+     (90551509, 90731887, 316440, 652638)),
+    (17556045078493721, 259902, 2, 129951, 2, (0, 0, 332820, 492306)),
+    (17556045078493721, 259902, 4, 64975, 2,
+     (1076639, 16306343239, 332820, 984614)),
+    (17556045078493721, 259902, 8, 32487, 2,
+     (1076639, 16306343239, 332820, 1230322)),
+    (17556045078493721, 259902, 16, 16243, 2, (0, 0, 332820, 1230323)),
+    (5337708794174423, 220189, 470, 470, 1,
+     (71615171, 74533213, 292108, 651242)),
+    (12259942322134369, 230585, 2, 115292, 2, (0, 0, 286000, 491864)),
+    (12259942322134369, 230585, 4, 57646, 2,
+     (1067293, 11486950933, 286000, 983740)),
+    (12259942322134369, 230585, 8, 28823, 2,
+     (1067293, 11486950933, 286000, 1228213)),
+    (12259942322134369, 230585, 16, 14411, 2, (0, 0, 286000, 1228452)),
+    (13473618100672937, 299805, 548, 548, 1,
+     (83594869, 161177573, 286080, 613016)),
+    (12612266594798413, 232773, 2, 116386, 2, (0, 0, 271564, 465529)),
+    (12612266594798413, 232773, 4, 58193, 2,
+     (967229, 13039586897, 271564, 931062)),
+    (12612266594798413, 232773, 8, 29096, 2,
+     (967229, 13039586897, 271564, 1164507)),
+    (12612266594798413, 232773, 16, 14548, 2, (0, 0, 271564, 1164922)),
+]
+
+
+@pytest.mark.parametrize("chunk", [K._SCAN_CHUNK, 1 << 12])
+def test_hyperbola_scan_goldens(monkeypatch, chunk):
+    """hyperbola_scan reproduces SCAN_GOLDENS exactly, at the default
+    chunk and at one that splits the numpy scan of a 1e16 input into
+    about a thousand blocks."""
+    monkeypatch.setattr(K, "_SCAN_CHUNK", chunk)
+    for n, a, w, h, dyc, want in SCAN_GOLDENS:
+        assert K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc) == want, (n, a, w)
+
+
 def test_hyperbola_scan_given_sets():
     """hyperbola_scan on the sets of _point_sets, passed by keyword, equals
     the scan that enumerates them itself; sets is keyword-only, since the
