@@ -251,60 +251,65 @@ def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     return ox, oy, starts
 
 
-def _pair_scan_csr_loop(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
+def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     """Check every base/shifted pair in the neighbor cells the tables
-    list (see _neighbor_tables).
+    list (see _neighbor_tables): base point t, in base-window cell
+    bcell[t] = row*bk + col, meets the points of the shifted cells its
+    row and column steps reach.  Base points come in any order.
 
-    Returns (u, v, pairs_checked) with (u, v) the lexicographically
-    smallest verified split, or (0, 0, pairs) when none verifies.
+    The two sets are the solutions mod a and mod a - 1, bm and sm the
+    moduli of the base and the shifted points in either order, so which
+    set a point belongs to is bm > sm.  Returns (u, v, pairs_checked)
+    with (u, v) the lexicographically smallest verified split, or
+    (0, 0, pairs) when none verifies.
     """
     rows = ny.shape[1]
     bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
+    a = max(bm, sm)
+    m2 = min(bm, sm)
+    base_a = bm > sm
     best_u = np.int64(0)
     best_v = np.int64(0)
     pairs = np.int64(0)
-    for cj in range(rows):
-        row0 = cj * bk
-        for ci in range(bk):
-            cid = row0 + ci
-            b0, b1 = bstarts[cid], bstarts[cid + 1]
-            if b0 == b1:
+    for t in range(bx.size):
+        cj = bcell[t] // bk
+        ci = bcell[t] - cj * bk
+        for oj in range(ny.shape[0]):
+            nj = ny[oj, cj]
+            if nj < 0:
                 continue
-            for oj in range(ny.shape[0]):
-                nj = ny[oj, cj]
-                if nj < 0:
+            for oi in range(nx.shape[0]):
+                si = nx[oi, ci]
+                if si < 0:
                     continue
-                for oi in range(nx.shape[0]):
-                    si = nx[oi, ci]
-                    if si < 0:
-                        continue
-                    nid = nj * sk + si
-                    s0, s1 = sstarts[nid], sstarts[nid + 1]
-                    for t in range(b0, b1):
-                        x0 = bx[t]
-                        y0 = by[t]
-                        for s in range(s0, s1):
-                            pairs += 1
-                            du = sx[s] - x0
-                            dv = sy[s] - y0
-                            for uw in range(2):
-                                u1 = du + uw * m2
-                                if u1 < 0 or u1 >= a:
-                                    continue
-                                u = u1 * a + x0
-                                if u < 2 or u > n or n % u != 0:
-                                    continue
-                                v = n // u
-                                if v < 2:
-                                    continue
-                                for vw in range(2):
-                                    v1 = dv + vw * m2
-                                    if 0 <= v1 < a and v1 * a + y0 == v:
-                                        lo, hi = (u, v) if u <= v else (v, u)
-                                        if (best_u == 0 or lo < best_u
-                                                or (lo == best_u and hi < best_v)):
-                                            best_u, best_v = lo, hi
+                nid = nj * sk + si
+                for s in range(sstarts[nid], sstarts[nid + 1]):
+                    pairs += 1
+                    # (x, y) of the point mod a, then of the point mod m2
+                    if base_a:
+                        xa, ya, xm, ym = bx[t], by[t], sx[s], sy[s]
+                    else:
+                        xa, ya, xm, ym = sx[s], sy[s], bx[t], by[t]
+                    du = xm - xa
+                    dv = ym - ya
+                    for uw in range(2):
+                        u1 = du + uw * m2
+                        if u1 < 0 or u1 >= a:
+                            continue
+                        u = u1 * a + xa
+                        if u < 2 or u > n or n % u != 0:
+                            continue
+                        v = n // u
+                        if v < 2:
+                            continue
+                        for vw in range(2):
+                            v1 = dv + vw * m2
+                            if 0 <= v1 < a and v1 * a + ya == v:
+                                lo, hi = (u, v) if u <= v else (v, u)
+                                if (best_u == 0 or lo < best_u
+                                        or (lo == best_u and hi < best_v)):
+                                    best_u, best_v = lo, hi
     return best_u, best_v, pairs
 
 
@@ -369,11 +374,11 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     """Same contract as _bucket_csr_loop: points stable by (row, window
     column) for any input order, so in input order within a cell.
 
-    Up to 2**16 cells, one stable sort by cell id, which fits uint16,
-    where numpy's stable sort is a radix sort.  Beyond, two stable
-    passes, window column then row: callers pass points in window-column
-    order, where the first pass meets a single sorted run, and rows fit
-    uint16 up to 2**16 rows.
+    Points already in window-column order, as every caller in the
+    program passes them, take one stable sort by row: a radix sort on
+    uint8 rows up to 2**8 rows and on uint16 rows up to 2**16.  Other
+    input takes one stable radix sort on uint16 cell ids where the cells
+    fit, else two stable sorts, by window column and then by row.
     """
     ncells = k * rows
     col = xs // cell_w
@@ -382,14 +387,15 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     row = ys // cell_h
     cid = row * k + col
     counts = np.bincount(cid, minlength=ncells)
-    if ncells <= 1 << 16:
+    if rows <= 1 << 16:
+        row = row.astype(np.uint8 if rows <= 1 << 8 else np.uint16)
+    if (col[1:] >= col[:-1]).all():
+        order = np.argsort(row, kind="stable")
+    elif ncells <= 1 << 16:
         order = np.argsort(cid.astype(np.uint16), kind="stable")
     else:
         order = np.argsort(col, kind="stable")
-        row = row[order]
-        if rows <= 1 << 16:
-            row = row.astype(np.uint16)
-        order = order[np.argsort(row, kind="stable")]
+        order = order[np.argsort(row[order], kind="stable")]
     starts = np.zeros(ncells + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return xs[order], ys[order], starts
@@ -435,61 +441,68 @@ def _column_runs(nx: np.ndarray, sk: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, end
 
 
-def _verified_split(bx, by, sx, sy, t, s0, seg, a, n, m2):
+def _verified_split(by, t, xc, s0, seg, sxc, sy, bm, n, sm):
     """Smallest (lo, hi) split of n that base points t meet in the
     shifted ranges [s0, s0 + seg), or None; the ranges are expanded into
     point pairs _SCAN_CHUNK >> 2 at a time (a longer range alone).
 
-    A pair's x digit is du = sx - x0 in [-m2, m2), taken mod m2 where
-    negative, so u = sx*a - x0*m2 (= du*a + x0), plus a*m2 where negative,
-    is its one candidate, and u + a*m2 (u1 = m2) a second only where
-    du == 0.  Base x are units mod a, so u >= 1, and n % u runs once on
-    positive divisors; y is read only for the rare pairs where u divides
-    n, where u < 2 is rejected and v checked as _pair_scan_csr_loop does.
+    A pair's candidate u is the CRT value of its x coordinates mod a*m2,
+    x_a*(1 - a) + x_m*a (x_a of the point mod a, x_m mod m2 = a - 1),
+    which is du*a + x_a with du = x_m - x_a taken mod m2.  Its base
+    point's term plus a*m2 is xc and its shifted point's term sxc, so
+    xc + sxc is one positive value, reduced below a*m2 by one uint64
+    minimum.  u + a*m2 (u1 = m2) is a second candidate only where
+    du == 0, which is where u < m2.  The x mod a are units, so u >= 1,
+    and n % u runs once on positive divisors; y is read only for the
+    rare pairs where u divides n, where u < 2 is rejected and v checked
+    as _pair_scan_csr_loop does.
     """
-    block = max(1, _SCAN_CHUNK >> 2)
+    a, m2 = max(bm, sm), min(bm, sm)
     am2 = a * m2
+    block = max(1, _SCAN_CHUNK >> 2)
     cum = np.cumsum(seg)
+    total = int(cum[-1]) if cum.size else 0
     # a pair's shifted index is its place in the expansion plus this
     shift = s0 - cum + seg
-    x0m2 = bx[t] * m2
     best = None
-    c0 = 0
+    c0 = done = 0
     while c0 < seg.size:
-        done = int(cum[c0 - 1]) if c0 else 0
-        c1 = max(c0 + 1, int(np.searchsorted(cum, done + block,
-                                             side="right")))
-        s = np.arange(done, int(cum[c1 - 1]), dtype=np.int64)
-        s += np.repeat(shift[c0:c1], seg[c0:c1])
-        u = sx[s] * a
-        u -= np.repeat(x0m2[c0:c1], seg[c0:c1])
-        # as uint64, du*a + x0 < a only where du == 0; those pairs'
-        # second candidates follow the first ones
-        zero = np.flatnonzero(u.view(np.uint64) < a)
-        u = np.concatenate([u, u[zero] + am2])
-        u -= am2 * (u >> 63)
+        if total - done <= block:
+            c1 = seg.size
+        else:
+            c1 = max(c0 + 1, int(np.searchsorted(cum, done + block,
+                                                 side="right")))
+        stop = int(cum[c1 - 1])
+        # each pair's range
+        r = np.repeat(np.arange(c0, c1), seg[c0:c1])
+        s = np.arange(done, stop, dtype=np.int64)
+        s += shift[r]
+        u = sxc[s]
+        u += xc[r]
+        w = u.view(np.uint64)
+        np.minimum(w, w - np.uint64(am2), out=w)
         hit = np.flatnonzero(n % u == 0)
-        if hit.size == 0:
-            c0 = c1
-            continue
+        low = np.flatnonzero(w < m2)
+        low = low[n % (u[low] + am2) == 0]
         # exact divisors of n are rare, so the tail runs on Python ints
-        for h, uk in zip(hit.tolist(), u[hit].tolist()):
-            k = h if h < s.size else int(zero[h - s.size])
+        for h, uk in [*zip(hit.tolist(), u[hit].tolist()),
+                      *zip(low.tolist(), (u[low] + am2).tolist())]:
             vk = n // uk
             if uk < 2 or vk < 2:
                 continue
-            y0 = int(by[t[np.searchsorted(cum, done + k, side="right")]])
-            dv = int(sy[s[k]]) - y0
+            y0, y1 = int(by[t[r[h]]]), int(sy[s[h]])
+            ya, ym = (y0, y1) if bm > sm else (y1, y0)
+            dv = ym - ya
             for v1 in (dv, dv + m2):
-                if 0 <= v1 < a and v1 * a + y0 == vk:
+                if 0 <= v1 < a and v1 * a + ya == vk:
                     cand = (min(uk, vk), max(uk, vk))
                     if best is None or cand < best:
                         best = cand
-        c0 = c1
+        c0, done = c1, stop
     return best
 
 
-def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
+def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     """Same contract as _pair_scan_csr_loop, by contiguous ranges.
 
     Shifted cells are row-major, so a base column's kept neighbor columns
@@ -497,38 +510,41 @@ def _pair_scan_csr_np(bx, by, bstarts, sx, sy, sstarts, nx, ny, a, n, m2):
     range of sx, sy, or two where the run wraps.  So each (base point,
     y-step) pair expands one range, and a second one for the points of
     wrapping columns, handled as points of a virtual column bk + ci.
-    Base points are taken in CSR order, _SCAN_CHUNK >> 2 (point, y-step)
-    pairs at a time, and _verified_split checks the pairs of the
+    Base points are taken in input order, _SCAN_CHUNK >> 2 (point,
+    y-step) pairs at a time, and _verified_split checks the pairs of the
     non-empty ranges.  y-steps no row keeps are dropped.
     """
     rows = ny.shape[1]
     bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
+    a, m2 = max(bm, sm), min(bm, sm)
     lo, end = _column_runs(nx, sk)
     ny = ny[(ny >= 0).any(axis=1)]
-    # shifted cell starts padded by one empty row, where -1 steps land
-    roff = ny % (rows + 1) * sk
-    first = np.concatenate([sstarts, np.full(sk, sstarts[-1])])
-    # each base point's cell: count the cells ending at each point
-    bcell = np.bincount(bstarts[1:-1], minlength=bstarts[-1] + 1)[:-1]
-    np.cumsum(bcell, out=bcell)
+    # row offsets into sstarts; a -1 step's lands past the end, which
+    # np.take clips to the last entry, an empty range
+    roff = ny * sk
+    roff[ny < 0] = sstarts.size
+    # each point's term of u (_verified_split): x mod a times 1 - a,
+    # x mod m2 times a, and a*m2 on the base's
+    xb = bx * (-m2 if bm > sm else a) + a * m2
+    sxc = sx * (a if bm > sm else -m2)
     step = max(1, (_SCAN_CHUNK >> 2) // ny.shape[0])
     pairs = 0
     best = None
     for p0 in range(0, bcell.size, step):
         cj, ci = np.divmod(bcell[p0:p0 + step], bk)
-        p = np.concatenate([np.arange(ci.size),
-                            np.flatnonzero(end[bk:][ci])])
-        ci = ci[p]
+        p = np.concatenate([np.arange(p0, p0 + ci.size),
+                            p0 + np.flatnonzero(end[bk:][ci])])
+        ci = ci[p - p0]
         ci[cj.size:] += bk
-        off = np.take(roff, cj[p], axis=1)
-        s0 = first[off + lo[ci]].ravel()
-        seg = first[off + end[ci]].ravel() - s0
+        off = np.take(roff, cj[p - p0], axis=1)
+        s0 = np.take(sstarts, off + lo[ci], mode="clip").ravel()
+        seg = np.take(sstarts, off + end[ci], mode="clip").ravel() - s0
         k = np.flatnonzero(seg > 0)
         seg = seg[k]
         pairs += int(seg.sum())
-        cand = _verified_split(bx, by, sx, sy, p0 + p[k % p.size], s0[k],
-                               seg, a, n, m2)
+        t = np.broadcast_to(p, off.shape).ravel()[k]
+        cand = _verified_split(by, t, xb[t], s0[k], seg, sxc, sy, bm, n, sm)
         if cand is not None and (best is None or cand < best):
             best = cand
     if best is None:
@@ -732,10 +748,11 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     the sets may be bucketed over column windows from bc0 and sc0 (see
     bucket_csr), and base points meet the neighbor cells in the shifted
     window."""
+    bcell = np.repeat(np.arange(bstarts.size - 1), np.diff(bstarts))
     nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
                               bc0, (bstarts.size - 1) // rows,
                               sc0, (sstarts.size - 1) // rows)
-    u, v, pairs = _pair_scan(bx, by, bstarts, sx, sy, sstarts, nx, ny,
+    u, v, pairs = _pair_scan(bx, by, bcell, sx, sy, sstarts, nx, ny,
                              a, n, m2)
     return int(u), int(v), int(pairs)
 
@@ -743,11 +760,13 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
 def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
                    dxc: int, dyc: int, *, sets: tuple | None = None
                    ) -> tuple[int, int, int, int]:
-    """Bucket both whole-grid solution sets, mod a and mod m2, and
-    pair-scan them; returns (u, v, points, pairs).  sets, the (bx, by,
-    sx, sy) of _point_sets, spares a caller scanning several cell shapes
-    the enumeration.  Goes through the private kernels only, so that a
-    caller wrapping the public ones sees this call once."""
+    """Pair-scan the whole-grid solution sets mod a and mod m2; returns
+    (u, v, points, pairs).  The whole-grid neighbor relation is
+    symmetric, so the scan expands from the smaller set, left unbucketed
+    with each point's cell id, and buckets only the other.  sets, the
+    (bx, by, sx, sy) of _point_sets, spares a caller scanning several
+    cell shapes the enumeration.  Goes through the private kernels only,
+    so that a caller wrapping the public ones sees this call once."""
     _check_mod(a)
     _check_mod(m2)
     if not 0 < n < 1 << 63:
@@ -755,11 +774,13 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
     bx, by, sx, sy = _point_sets(n, a, m2) if sets is None else sets
+    (px, py, pm), (qx, qy, qm) = sorted(((bx, by, a), (sx, sy, m2)),
+                                        key=lambda s: s[0].size)
     u, v, pairs = _pair_scan(
-        *_bucket(bx, by, cell_w, cell_h, cols, rows, 0, cols),
-        *_bucket(sx, sy, cell_w, cell_h, cols, rows, 0, cols),
+        px, py, py // cell_h * cols + px // cell_w,
+        *_bucket(qx, qy, cell_w, cell_h, cols, rows, 0, cols),
         *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                          0, cols, 0, cols), a, n, m2)
+                          0, cols, 0, cols), pm, n, qm)
     return int(u), int(v), bx.size + sx.size, int(pairs)
 
 

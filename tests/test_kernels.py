@@ -319,28 +319,78 @@ def test_bucket_csr_row_cast_boundary():
             _same_csr(xs[order], ys[order], w, 1, cols, rows, 0, cols)
 
 
+def test_bucket_csr_sorted_input_row_widths():
+    """Points in window-column order, as the program passes them, take
+    one sort by row: the numpy bucketing equals the loop twin with rows
+    that fit uint8 (<= 256), that fit uint16 (257 to 2**16) and that fit
+    neither (above 2**16), on whole grids and on wrapping windows, with
+    up to and past 2**16 cells."""
+    rng = random.Random(56)
+    for rows in (1, 2, 17, 256, 257, 4099, 1 << 16, (1 << 16) + 1,
+                 (1 << 16) + 300):
+        for cols in (1, 3, 40) if rows < 1 << 16 else (1, 3):
+            w = rng.randrange(1, 50)
+            npts = rng.randrange(500, 3000)
+            xs = np.array([rng.randrange(cols * w) for _ in range(npts)],
+                          dtype=np.int64)
+            ys = np.array([rng.randrange(rows) for _ in range(npts)],
+                          dtype=np.int64)
+            xs[-1], ys[-1] = cols * w - 1, rows - 1
+            for c0, k in ((0, cols), ((cols - 1) // 2, cols), (cols - 1, 1)):
+                wcol = (xs // w - c0) % cols
+                keep = np.flatnonzero(wcol < k)
+                order = keep[np.argsort(wcol[keep], kind="stable")]
+                _same_csr(xs[order], ys[order], w, 1, cols, rows, c0, k)
+
+
+def _scan_both_ways(n, a, w, h, dxc, dyc, bwin, swin, tables_for):
+    """The loop and numpy pair scans with the base mod a and with the
+    base mod a - 1: the base points of column window bwin = (c0, k) in
+    enumeration order with their cell ids, the shifted ones of swin
+    bucketed by each scan's own twin.  Asserts the twins agree; returns
+    {base modulus: (u, v, pairs)}."""
+    cols, rows = -(-a // w), -(-a // h)
+    sets = {m: K.hyperbola_points(n, m) for m in (a, a - 1)}
+    got = {}
+    for bm, sm in ((a, a - 1), (a - 1, a)):
+        (bc0, bk), (sc0, sk) = bwin, swin
+        bx, by = sets[bm]
+        col = (bx // w - bc0) % cols
+        inside = col < bk
+        bx, by = bx[inside], by[inside]
+        bcell = by // h * bk + col[inside]
+        sx, sy = sets[sm]
+        inside = (sx // w - sc0) % cols < sk
+        sx, sy = sx[inside], sy[inside]
+        tables = tables_for(bc0, bk, sc0, sk)
+        res = [tuple(int(x) for x in scan(
+            bx, by, bcell, *bucket(sx, sy, w, h, cols, rows, sc0, sk),
+            *tables, bm, n, sm))
+            for scan, bucket in ((K._pair_scan_csr_loop, K._bucket_csr_loop),
+                                 (K._pair_scan_csr_np, K._bucket_csr_np))]
+        assert res[0] == res[1], (n, a, w, h, bm, bwin, swin)
+        got[bm] = res[0]
+    return got
+
+
 def test_hyperbola_scan_backends_agree():
+    """On whole grids the loop and numpy scans agree with each other and
+    with hyperbola_scan with the base mod a and with the base mod a - 1,
+    which the symmetric whole-grid neighbor relation makes one result."""
     rng = random.Random(44)
     from hideseek.arith import ceil_cbrt
     from util import arbitrary_semiprime, balanced_semiprime
 
     def both(n, a, w, h, dxc, dyc):
-        """The loop and numpy kernels on whole grids, and hyperbola_scan."""
         cols, rows = -(-a // w), -(-a // h)
-        bx, by = K.hyperbola_points(n, a)
-        sx, sy = K.hyperbola_points(n, a - 1)
-        args = (*K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
-                                    0, cols, 0, cols), a, n, a - 1)
-        r1 = K._pair_scan_csr_loop(
-            *K._bucket_csr_loop(bx, by, w, h, cols, rows, 0, cols),
-            *K._bucket_csr_loop(sx, sy, w, h, cols, rows, 0, cols), *args)
-        r2 = K._pair_scan_csr_np(
-            *K._bucket_csr_np(bx, by, w, h, cols, rows, 0, cols),
-            *K._bucket_csr_np(sx, sy, w, h, cols, rows, 0, cols), *args)
+        got = _scan_both_ways(
+            n, a, w, h, dxc, dyc, (0, cols), (0, cols),
+            lambda *win: K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
+                                            *win))
         u, v, points, pairs = K.hyperbola_scan(n, a, a - 1, w, h, dxc, dyc)
-        assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2) == (
-            u, v, pairs), (n, a, w, h)
-        assert points == bx.size + sx.size
+        assert got[a] == got[a - 1] == (u, v, pairs), (n, a, w, h)
+        assert points == sum(K.hyperbola_points(n, m)[0].size
+                             for m in (a, a - 1))
         return u, v, points, pairs
 
     for _ in range(25):
@@ -362,17 +412,13 @@ def test_hyperbola_scan_backends_agree():
 
 
 def test_windowed_scan_backends_agree():
-    """bucket_csr and pair_scan_csr over column windows, wrapping ones
-    included: the numpy kernels equal the loop kernels."""
+    """Over column windows, wrapping ones included, with the base mod a
+    and with the base mod a - 1: the numpy kernels equal the loop
+    kernels, and pair_scan_csr, which reads the base cells off a CSR,
+    equals the scans of the base points in enumeration order."""
     rng = random.Random(48)
     from hideseek.arith import ceil_cbrt
     from util import arbitrary_semiprime
-
-    def window(xs, ys, w, cols):
-        c0 = rng.randrange(cols)
-        k = rng.randrange(1, cols + 1)
-        inside = (xs // w - c0) % cols < k
-        return xs[inside], ys[inside], c0, k
 
     for _ in range(40):
         n, p, q = arbitrary_semiprime(rng, 10 ** 7)
@@ -381,54 +427,70 @@ def test_windowed_scan_backends_agree():
         h = max(1, a // w)
         cols, rows = -(-a // w), -(-a // h)
         dxc, dyc = rng.choice(((1, 1), (1, 2)))
-        bx, by, bc0, bk = window(*K.hyperbola_points(n, a), w, cols)
-        sx, sy, sc0, sk = window(*K.hyperbola_points(n, a - 1), w, cols)
-        base = K._bucket_csr_np(bx, by, w, h, cols, rows, bc0, bk)
-        shifted = K._bucket_csr_np(sx, sy, w, h, cols, rows, sc0, sk)
-        for got, want in ((base, K._bucket_csr_loop(bx, by, w, h, cols, rows,
-                                                     bc0, bk)),
-                          (shifted, K._bucket_csr_loop(sx, sy, w, h, cols,
-                                                       rows, sc0, sk))):
-            for x, y in zip(got, want):
+        bwin, swin = [(rng.randrange(cols), rng.randrange(1, cols + 1))
+                      for _ in range(2)]
+        got = _scan_both_ways(
+            n, a, w, h, dxc, dyc, bwin, swin,
+            lambda *win: K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
+                                            *win))
+        (bc0, bk), (sc0, sk) = bwin, swin
+        for m in (a, a - 1):
+            xs, ys = K.hyperbola_points(n, m)
+            c0, k = bwin if m == a else swin
+            inside = (xs // w - c0) % cols < k
+            win = K._bucket_csr_np(xs[inside], ys[inside], w, h, cols, rows,
+                                   c0, k)
+            for x, y in zip(win, K._bucket_csr_loop(
+                    xs[inside], ys[inside], w, h, cols, rows, c0, k)):
                 assert np.array_equal(x, y)
-        args = (*base, *shifted,
-                *K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
-                                    bc0, bk, sc0, sk), a, n, a - 1)
-        r1 = K._pair_scan_csr_loop(*args)
-        r2 = K._pair_scan_csr_np(*args)
-        assert tuple(int(x) for x in r1) == tuple(int(x) for x in r2), (
-            n, a, w, bc0, bk, sc0, sk)
+            if m == a:
+                base = win
+            else:
+                shifted = win
+        assert K.pair_scan_csr(*base, *shifted, cols, rows, w, h, a, dxc,
+                               dyc, n, a - 1, bc0, sc0) == got[a], (
+            n, a, w, bwin, swin)
 
 
 def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0):
-    """The numpy and loop pair scans of base against shifted points on a
-    grid of w x h cells at radii (1, 2), base bucketed over bk columns
-    from bc0 (default all) and shifted over every column from sc0, and
-    the oracle's (split or (0, 0), pairs) over the same pairs; asserts
-    the three agree and returns the result."""
+    """The numpy and loop pair scans on a grid of w x h cells at radii
+    (1, 2), of base (points mod a) against shifted (points mod a - 1) and
+    again with the roles swapped: each time the base points in their
+    given order over bk columns from bc0 (default all), with their cell
+    ids, and the shifted points bucketed over every column from sc0.
+    Asserts that both scans equal the oracle's (split or (0, 0), pairs)
+    over the same pairs each way, and, on a whole base window, that the
+    two ways agree; returns the result with the base mod a."""
     cols, rows = -(-a // w), -(-a // h)
     bk = cols if bk is None else bk
-    base = [p for p in base if (p[0] // w - bc0) % cols < bk]
+    tables = K._neighbor_tables(cols, rows, w, h, a, 1, 2, bc0, bk, sc0, cols)
 
-    def csr(pts, c0, k):
-        xs, ys = (np.array([p[i] for p in pts], dtype=np.int64)
-                  for i in (0, 1))
-        return K._bucket_csr_np(xs, ys, w, h, cols, rows, c0, k)
+    def arrays(pts):
+        return (np.array([p[i] for p in pts], dtype=np.int64) for i in (0, 1))
 
-    args = (*csr(base, bc0, bk), *csr(shifted, sc0, cols),
-            *K._neighbor_tables(cols, rows, w, h, a, 1, 2, bc0, bk, sc0,
-                                cols), a, n, a - 1)
-    got = tuple(int(x) for x in K._pair_scan_csr_np(*args))
-    assert got == tuple(int(x) for x in K._pair_scan_csr_loop(*args))
-    splits, pairs = set(), 0
-    for p, q in neighbor_pairs(base, shifted, a, w, h, 1, 2):
-        pairs += 1
-        f = check_candidate(n, a, p, q)
-        if f is not None:
-            splits.add((f.u, f.v))
-    assert got == (*min(splits, default=(0, 0)), pairs), (n, a, w, bc0, bk,
-                                                          sc0)
-    return got
+    got = {}
+    for bm, sm, bpts, spts in ((a, a - 1, base, shifted),
+                               (a - 1, a, shifted, base)):
+        bpts = [p for p in bpts if (p[0] // w - bc0) % cols < bk]
+        bx, by = arrays(bpts)
+        bcell = by // h * bk + (bx // w - bc0) % cols
+        args = (bx, by, bcell,
+                *K._bucket_csr_np(*arrays(spts), w, h, cols, rows, sc0, cols),
+                *tables, bm, n, sm)
+        res = tuple(int(x) for x in K._pair_scan_csr_np(*args))
+        assert res == tuple(int(x) for x in K._pair_scan_csr_loop(*args))
+        splits, pairs = set(), 0
+        for p, q in neighbor_pairs(bpts, spts, a, w, h, 1, 2):
+            pairs += 1
+            f = check_candidate(n, a, *((p, q) if bm == a else (q, p)))
+            if f is not None:
+                splits.add((f.u, f.v))
+        assert res == (*min(splits, default=(0, 0)), pairs), (
+            n, a, w, bm, bc0, bk, sc0)
+        got[bm] = res
+    if bk == cols:
+        assert got[a] == got[a - 1], (n, a, w, bc0, sc0)
+    return got[a]
 
 
 def test_wrapping_runs_match_oracle():
@@ -518,8 +580,7 @@ def test_pair_scan_chunk_budget(monkeypatch):
         a = ceil_cbrt(n)
         h = a // w
         cols, rows = -(-a // w), -(-a // h)
-        bx, by, bst = K._bucket_csr_np(*K.hyperbola_points(n, a), w, h,
-                                       cols, rows, 0, cols)
+        bx, by = K.hyperbola_points(n, a)
         sx, sy, sst = K._bucket_csr_np(*K.hyperbola_points(n, a - 1), w, h,
                                        cols, rows, 0, cols)
         nx, ny = K._neighbor_tables(cols, rows, w, h, a, 1, 2, 0, cols,
@@ -527,8 +588,8 @@ def test_pair_scan_chunk_budget(monkeypatch):
         monkeypatch.setattr(K, "_SCAN_CHUNK", chunk)
         tracemalloc.start()
         try:
-            got = K._pair_scan_csr_np(bx, by, bst, sx, sy, sst, nx, ny, a, n,
-                                      a - 1)
+            got = K._pair_scan_csr_np(bx, by, by // h * cols + bx // w, sx,
+                                      sy, sst, nx, ny, a, n, a - 1)
             return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
