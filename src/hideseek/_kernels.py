@@ -117,30 +117,32 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
     wrap and the gap test run on those cells alone.
     """
     steps = sorted(range(-radius - 1, radius + 2), key=lambda d: (abs(d), d))
-    ci = np.arange(ncells, dtype=np.int64)
-    raw = np.array(steps, dtype=np.int64)[:, None] + ci
-    keep = np.ones(raw.shape, dtype=bool)
-    # only the radius+1 cells at each end of the axis have steps that wrap
+    raw = np.add.outer(np.array(steps, dtype=np.int64),
+                       np.arange(ncells, dtype=np.int64))
+    c2 = raw.copy()
     r1 = radius + 1
     if ncells > 2 * r1:
-        ends = np.arange(-r1, r1) % ncells
+        ends = [*range(ncells - r1, ncells), *range(r1)]
+        c2[:, :r1] %= ncells
+        c2[:, -r1:] %= ncells
+        new = [True] * len(steps)
     else:
-        ends = ci
+        ends = range(ncells)
+        c2 %= ncells
         # the 2*r1 + 1 steps are distinct mod ncells on longer axes;
         # congruent ones reach the same cell from every ci
-        keep[:] = np.array([all((d - e) % ncells for e in steps[:j])
-                            for j, d in enumerate(steps)])[:, None]
-    c2 = raw.copy()
-    c2[:, ends] %= ncells
-    # the last two rows are the steps -(radius+1), radius+1
-    s1 = ends * cell
-    e1 = np.minimum(s1 + cell, a)
-    s2 = c2[-2:, ends] * cell
-    e2 = np.minimum(s2 + cell, a)
-    gap = np.minimum((s2 - e1 + 1) % a, (s1 - e2 + 1) % a)
-    seam = keep[-2:, ends] & (gap <= radius * cell - 1)
-    keep[-2:] = False
-    keep[-2:, ends] = seam
+        new = [all((d - e) % ncells for e in steps[:j])
+               for j, d in enumerate(steps)]
+    keep = np.zeros(raw.shape, dtype=bool)
+    keep[:-2] = np.array(new[:-2])[:, None]
+    # the last two rows are the steps -(radius+1), radius+1, kept from
+    # the ends where the wrapped gap between the two columns is below
+    # radius*cell; a few cells, so on Python ints
+    for j in (-2, -1):
+        for i in ends if new[j] else ():
+            s1, s2 = i * cell, (i + steps[j]) % ncells * cell
+            keep[j, i] = min((s2 - min(s1 + cell, a) + 1) % a,
+                             (s1 - min(s2 + cell, a) + 1) % a) < radius * cell
     return raw, c2, keep
 
 
@@ -266,8 +268,7 @@ def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     rows = ny.shape[1]
     bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
-    a = max(bm, sm)
-    m2 = min(bm, sm)
+    a, m2 = max(bm, sm), min(bm, sm)
     base_a = bm > sm
     best_u = np.int64(0)
     best_v = np.int64(0)
@@ -287,10 +288,8 @@ def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
                 for s in range(sstarts[nid], sstarts[nid + 1]):
                     pairs += 1
                     # (x, y) of the point mod a, then of the point mod m2
-                    if base_a:
-                        xa, ya, xm, ym = bx[t], by[t], sx[s], sy[s]
-                    else:
-                        xa, ya, xm, ym = sx[s], sy[s], bx[t], by[t]
+                    xa, ya, xm, ym = ((bx[t], by[t], sx[s], sy[s]) if base_a
+                                      else (sx[s], sy[s], bx[t], by[t]))
                     du = xm - xa
                     dv = ym - ya
                     for uw in range(2):
@@ -390,14 +389,14 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     if rows <= 1 << 16:
         row = row.astype(np.uint8 if rows <= 1 << 8 else np.uint16)
     if (col[1:] >= col[:-1]).all():
-        order = np.argsort(row, kind="stable")
+        order = row.argsort(kind="stable")
     elif ncells <= 1 << 16:
         order = np.argsort(cid.astype(np.uint16), kind="stable")
     else:
         order = np.argsort(col, kind="stable")
         order = order[np.argsort(row[order], kind="stable")]
     starts = np.zeros(ncells + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    counts.cumsum(out=starts[1:])
     return xs[order], ys[order], starts
 
 
@@ -410,10 +409,10 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
 _SCAN_CHUNK = 1 << 18
 
 
-def _column_runs(nx: np.ndarray, sk: int) -> tuple[np.ndarray, np.ndarray]:
+def _column_runs(nx: np.ndarray, sk: int) -> np.ndarray:
     """Each base column's kept shifted-window columns, read off the nx
-    table as one circular run mod sk, as (lo, end) of length 2*bk:
-    column i's run is [lo[i], end[i]), followed where it wraps past
+    table as one circular run mod sk, as runs = (lo, end) rows of length
+    2*bk: column i's run is [lo[i], end[i]), followed where it wraps past
     column sk - 1 by [lo[bk + i], end[bk + i]) = [0, end2); every other
     range is empty.
 
@@ -423,8 +422,8 @@ def _column_runs(nx: np.ndarray, sk: int) -> tuple[np.ndarray, np.ndarray]:
     this)."""
     bk = nx.shape[1]
     # window columns fit int32, which halves these full-width arrays
-    lo = np.zeros(2 * bk, dtype=np.int32)
-    end = np.zeros(2 * bk, dtype=np.int32)
+    runs = np.zeros((2, 2 * bk), dtype=np.int32)
+    lo, end = runs
     # as uint64 the -1 entries are the largest values, so never the min
     np.maximum(nx.view(np.uint64).min(axis=0).view(np.int64), 0,
                out=lo[:bk], casting="unsafe")
@@ -432,41 +431,47 @@ def _column_runs(nx: np.ndarray, sk: int) -> tuple[np.ndarray, np.ndarray]:
     # a run holding columns 0 and sk - 1 but not all sk wraps, and
     # starts right after the columns it lacks: only the few columns at
     # the seam, so this runs on Python ints
-    for c in np.flatnonzero((lo[:bk] == 0) & (end[:bk] == sk)).tolist():
-        kept = {v for v in nx[:, c].tolist() if v >= 0}
+    seam = (end[:bk] - lo[:bk] == sk).nonzero()[0]
+    for c, col in zip(seam.tolist(), nx[:, seam].T.tolist()):
+        kept = {v for v in col if v >= 0}
         if len(kept) < sk:
-            end2 = min(set(range(len(kept) + 1)) - kept)
+            end2 = 0
+            while end2 in kept:
+                end2 += 1
             lo[c] = end2 + sk - len(kept)
             end[bk + c] = end2
-    return lo, end
+    return runs
 
 
-def _verified_split(by, t, xc, s0, seg, sxc, sy, bm, n, sm):
-    """Smallest (lo, hi) split of n that base points t meet in the
-    shifted ranges [s0, s0 + seg), or None; the ranges are expanded into
-    point pairs _SCAN_CHUNK >> 2 at a time (a longer range alone).
+def _verified_split(by, tb, xc, s0, seg, sxc, sy, bm, n, sm):
+    """(split, pairs): the smallest (lo, hi) split of n, or None, and the
+    number of point pairs, over the shifted ranges [s0, s0 + seg).
+    Ranges are laid out (y-step, base point), so range j belongs to base
+    point tb[j % tb.size], and xc[j] is that point's term of u (below);
+    empty ranges may be included.  They are expanded into point pairs
+    _SCAN_CHUNK >> 2 at a time (a longer range alone).
 
     A pair's candidate u is the CRT value of its x coordinates mod a*m2,
     x_a*(1 - a) + x_m*a (x_a of the point mod a, x_m mod m2 = a - 1),
-    which is du*a + x_a with du = x_m - x_a taken mod m2.  Its base
-    point's term plus a*m2 is xc and its shifted point's term sxc, so
-    xc + sxc is one positive value, reduced below a*m2 by one uint64
-    minimum.  u + a*m2 (u1 = m2) is a second candidate only where
-    du == 0, which is where u < m2.  The x mod a are units, so u >= 1,
-    and n % u runs once on positive divisors; y is read only for the
-    rare pairs where u divides n, where u < 2 is rejected and v checked
-    as _pair_scan_csr_loop does.
+    which is du*a + x_a with du = x_m - x_a taken mod m2.  The base
+    point's term plus a*m2 (xc) and the shifted point's term (sxc) add
+    up to one positive value, reduced below a*m2 by one uint64 minimum.
+    u + a*m2 (u1 = m2) is a second candidate only where du == 0, which is
+    where u < m2.  The x mod a are units, so u >= 1, and n % u runs once
+    on positive divisors; y is read only for the rare pairs where u
+    divides n, where u < 2 is rejected and v checked as
+    _pair_scan_csr_loop does.
     """
     a, m2 = max(bm, sm), min(bm, sm)
     am2 = a * m2
     block = max(1, _SCAN_CHUNK >> 2)
-    cum = np.cumsum(seg)
+    cum = seg.cumsum()
     total = int(cum[-1]) if cum.size else 0
     # a pair's shifted index is its place in the expansion plus this
     shift = s0 - cum + seg
     best = None
     c0 = done = 0
-    while c0 < seg.size:
+    while done < total:
         if total - done <= block:
             c1 = seg.size
         else:
@@ -474,15 +479,15 @@ def _verified_split(by, t, xc, s0, seg, sxc, sy, bm, n, sm):
                                                  side="right")))
         stop = int(cum[c1 - 1])
         # each pair's range
-        r = np.repeat(np.arange(c0, c1), seg[c0:c1])
+        r = np.arange(c0, c1).repeat(seg[c0:c1])
         s = np.arange(done, stop, dtype=np.int64)
         s += shift[r]
         u = sxc[s]
         u += xc[r]
         w = u.view(np.uint64)
         np.minimum(w, w - np.uint64(am2), out=w)
-        hit = np.flatnonzero(n % u == 0)
-        low = np.flatnonzero(w < m2)
+        hit = (n % u == 0).nonzero()[0]
+        low = (w < m2).nonzero()[0]
         low = low[n % (u[low] + am2) == 0]
         # exact divisors of n are rare, so the tail runs on Python ints
         for h, uk in [*zip(hit.tolist(), u[hit].tolist()),
@@ -490,7 +495,8 @@ def _verified_split(by, t, xc, s0, seg, sxc, sy, bm, n, sm):
             vk = n // uk
             if uk < 2 or vk < 2:
                 continue
-            y0, y1 = int(by[t[r[h]]]), int(sy[s[h]])
+            y0 = int(by[tb[int(r[h]) % tb.size]])
+            y1 = int(sy[s[h]])
             ya, ym = (y0, y1) if bm > sm else (y1, y0)
             dv = ym - ya
             for v1 in (dv, dv + m2):
@@ -499,7 +505,7 @@ def _verified_split(by, t, xc, s0, seg, sxc, sy, bm, n, sm):
                     if best is None or cand < best:
                         best = cand
         c0, done = c1, stop
-    return best
+    return best, total
 
 
 def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
@@ -512,13 +518,13 @@ def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     wrapping columns, handled as points of a virtual column bk + ci.
     Base points are taken in input order, _SCAN_CHUNK >> 2 (point,
     y-step) pairs at a time, and _verified_split checks the pairs of the
-    non-empty ranges.  y-steps no row keeps are dropped.
+    ranges.  y-steps no row keeps are dropped.
     """
     rows = ny.shape[1]
     bk = nx.shape[1]
     sk = (sstarts.size - 1) // rows
     a, m2 = max(bm, sm), min(bm, sm)
-    lo, end = _column_runs(nx, sk)
+    runs = _column_runs(nx, sk)
     ny = ny[(ny >= 0).any(axis=1)]
     # row offsets into sstarts; a -1 step's lands past the end, which
     # np.take clips to the last entry, an empty range
@@ -532,19 +538,21 @@ def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     pairs = 0
     best = None
     for p0 in range(0, bcell.size, step):
-        cj, ci = np.divmod(bcell[p0:p0 + step], bk)
-        p = np.concatenate([np.arange(p0, p0 + ci.size),
-                            p0 + np.flatnonzero(end[bk:][ci])])
-        ci = ci[p - p0]
+        cell = bcell[p0:p0 + step]
+        cj = cell // bk
+        ci = cell - cj * bk
+        j = np.concatenate([np.arange(ci.size),
+                            runs[1, bk:][ci].nonzero()[0]])
+        ci = ci[j]
         ci[cj.size:] += bk
-        off = np.take(roff, cj[p - p0], axis=1)
-        s0 = np.take(sstarts, off + lo[ci], mode="clip").ravel()
-        seg = np.take(sstarts, off + end[ci], mode="clip").ravel() - s0
-        k = np.flatnonzero(seg > 0)
-        seg = seg[k]
-        pairs += int(seg.sum())
-        t = np.broadcast_to(p, off.shape).ravel()[k]
-        cand = _verified_split(by, t, xb[t], s0[k], seg, sxc, sy, bm, n, sm)
+        off = roff.take(cj[j], axis=1)
+        s0 = sstarts.take(off + runs[0, ci], mode="clip").ravel()
+        seg = sstarts.take(off + runs[1, ci], mode="clip").ravel() - s0
+        xc = np.empty(off.shape, dtype=np.int64)
+        xc[:] = xb[p0 + j]
+        cand, got = _verified_split(by, p0 + j, xc.ravel(), s0, seg, sxc, sy,
+                                    bm, n, sm)
+        pairs += got
         if cand is not None and (best is None or cand < best):
             best = cand
     if best is None:
@@ -584,7 +592,7 @@ def _units(m: int, x0: int, hi: int, factors=None) -> np.ndarray:
     mask = np.ones(hi - x0, dtype=bool)
     for p, _ in prime_factors(m) if factors is None else factors:
         mask[(-x0) % p::p] = False
-    xs = np.flatnonzero(mask)
+    xs = mask.nonzero()[0]
     if x0:
         xs += x0
     return xs
@@ -709,8 +717,9 @@ def _point_sets(n: int, a: int, m2: int) -> tuple[np.ndarray, ...]:
     z *= a
     z += x[0]
     inv = _inverses(z, a * m2)
-    return (bx, n % a * (inv[:bx.size] % a) % a,
-            sx, n % m2 * (inv[:sx.size] % m2) % m2)
+    # inv < a*m2, so inv * (n % a) < 2**45
+    return (bx, inv[:bx.size] * (n % a) % a,
+            sx, inv[:sx.size] * (n % m2) % m2)
 
 
 def unit_inverse_table(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -774,8 +783,8 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
     cols = -(-a // cell_w)
     rows = -(-a // cell_h)
     bx, by, sx, sy = _point_sets(n, a, m2) if sets is None else sets
-    (px, py, pm), (qx, qy, qm) = sorted(((bx, by, a), (sx, sy, m2)),
-                                        key=lambda s: s[0].size)
+    (px, py, pm), (qx, qy, qm) = ((bx, by, a), (sx, sy, m2))[
+        ::1 if bx.size <= sx.size else -1]
     u, v, pairs = _pair_scan(
         px, py, py // cell_h * cols + px // cell_w,
         *_bucket(qx, qy, cell_w, cell_h, cols, rows, 0, cols),
