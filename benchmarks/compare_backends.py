@@ -5,12 +5,19 @@ ways of enumerating a whole solution set.
 Both implementations of each doubled kernel live in hideseek._kernels
 regardless of which one the HIDESEEK_BACKEND flag selects, so a single
 process can benchmark the two side by side: batch inversion over the
-units of m, and bucketing and the pair scan of a balanced factor scan.
-The neighbor tables are built once, outside the timed calls, and both
-pair scans get the same arguments.  Without numba only the numpy column
-is printed.
+units of m, and bucketing and the pair scan of a balanced factor scan
+(the set mod a as base, unbucketed).  The neighbor tables are built
+once, outside the timed calls, and both pair scans get the same
+arguments.  Without numba only the numpy column is printed.
 
-The second table times _points' two paths over all of [0, m), both on
+The second table times the numpy pair scan at a near 2**18, for even,
+odd and 3 | a, on balanced cells and the general variant's width 16:
+with the set mod a as base, then with the set mod a - 1, the other set
+bucketed; and bucketing the larger set as enumerated (column-sorted, one
+radix pass by row) against the same points shuffled (the sort for
+unsorted input).
+
+The third table times _points' two paths over all of [0, m), both on
 numpy: the units and one batch inversion (_inverses_for_np), against the
 prime-power inverse tables (_table_points), for m prime, 2p and smooth
 near 2**16, 2**18 and 2**20.
@@ -76,7 +83,7 @@ def bench_factor_scan(repeat):
         grid = (b, b, cols, cols, 0, cols)
         bx, by = K.hyperbola_points(n, a)
         sx, sy = K.hyperbola_points(n, a - 1)
-        args = (*K._bucket_csr_np(bx, by, *grid),
+        args = (bx, by, by // b * cols + bx // b,
                 *K._bucket_csr_np(sx, sy, *grid),
                 *K._neighbor_tables(cols, cols, b, b, a, 1, 1, 0, cols,
                                     0, cols), a, n, a - 1)
@@ -89,6 +96,43 @@ def bench_factor_scan(repeat):
                      loop_time(lambda: K._pair_scan_csr_loop(*args), repeat),
                      timeit(lambda: K._pair_scan_csr_np(*args), repeat)))
     return rows
+
+
+def bench_base_and_bucketing(repeat):
+    scans, buckets = [], []
+    nprng = np.random.default_rng(4)
+    for a in (1 << 18, (1 << 18) + 3, (1 << 18) + 5):
+        shape = "even" if a % 2 == 0 else "3|a" if a % 3 == 0 else "odd"
+        n = next(n for n in range(a ** 3 // 2 + 1, a ** 3)
+                 if n % 2 and np.gcd(n, a * (a - 1)) == 1)
+        sets = {m: K.hyperbola_points(n, m) for m in (a, a - 1)}
+        for cells, w, h, dyc in (("balanced", isqrt(a - 1) + 1,
+                                  isqrt(a - 1) + 1, 1),
+                                 ("width 16", 16, a // 16, 2)):
+            cols, rows = -(-a // w), -(-a // h)
+            grid = (w, h, cols, rows, 0, cols)
+            tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, 0, cols,
+                                        0, cols)
+
+            def scan(bm, sm):
+                (bx, by), shifted = sets[bm], sets[sm]
+                args = (bx, by, by // h * cols + bx // w,
+                        *K._bucket_csr_np(*shifted, *grid), *tables, bm, n,
+                        sm)
+                return lambda: K._pair_scan_csr_np(*args)
+
+            scans.append((f"{shape} a={a:,} {cells}",
+                          timeit(scan(a, a - 1), repeat),
+                          timeit(scan(a - 1, a), repeat)))
+            if cells == "balanced":
+                xs, ys = max(sets.values(), key=lambda s: s[0].size)
+                perm = nprng.permutation(xs.size)
+                buckets.append((f"{shape} a={a:,} {xs.size:,} points",
+                                timeit(lambda: K._bucket_csr_np(
+                                    xs[perm], ys[perm], *grid), repeat),
+                                timeit(lambda: K._bucket_csr_np(
+                                    xs, ys, *grid), repeat)))
+    return scans, buckets
 
 
 def enumeration_moduli():
@@ -143,6 +187,9 @@ def main():
 
     print_rows(("kernel", "numba", "numpy"),
                bench_inverses(args.repeat) + bench_factor_scan(args.repeat))
+    scans, buckets = bench_base_and_bucketing(args.repeat)
+    print_rows(("numpy pair scan", "base mod a", "mod a-1"), scans)
+    print_rows(("numpy bucketing", "shuffled", "sorted"), buckets)
     print_rows(("enumeration", "batch", "tables"), bench_enumeration(args.repeat))
 
 if __name__ == "__main__":

@@ -18,10 +18,9 @@ times the twins against each other, and _points' two paths.
 The numpy twins of the first two do linear work, as the loops do: batch
 inversion scans the prefix and suffix products as two rows of one
 blocked scan (_modprod_scan, about 2 multiplications per value), and
-bucketing is one stable radix sort on uint16 cell ids where the cells
-fit, else two stable sorts, by window column and then by row, where the
-first meets callers' points already in order and the second is a radix
-sort on uint16 rows.
+bucketing the points in window-column order that every caller in the
+program passes is one stable radix pass on uint8 or uint16 rows (other
+input takes a sort by cell id, or by column and then by row).
 
 _points, the one solution enumerator, has two paths, chosen by one size
 rule (_TABLE_MIN).  A whole range [0, m) with m >= 2**15, m not a power
@@ -38,13 +37,17 @@ batch inversion mod a*(a-1) below the same size (_point_sets), in
 hyperbola_scan, the full-mode scan of both factorers, or once in a
 caller that passes it the sets.
 
-The numpy pair scan costs about one pass per candidate: shifted cells
-are row-major, so a base column's neighbor columns in one shifted row,
-a circular run, are one contiguous index range (two where the run wraps
-past the window's last column).  Each (base point, y-step) pair expands
-one range, in cache-sized blocks, and a pair's base-a x digit has one
-candidate value, plus a second only where the two x coordinates are
-equal, so one n % u on positive divisors rejects nearly every pair.
+The pair scans take their base points in any order, each with its cell
+id, and only the shifted set bucketed.  On a whole grid the neighbor
+relation is symmetric, so hyperbola_scan expands from the smaller set,
+left unbucketed, and buckets the other in one pass.  The numpy scan
+costs about one pass per candidate: shifted cells are row-major, so a
+base column's neighbor columns in one shifted row, a circular run, are
+one index range (two where the run wraps past the window's last
+column).  Each (base point, y-step) pair expands one range, in
+cache-sized blocks, and a pair's CRT value of its two x has one
+candidate value, plus a second only where the two x are equal, so one
+n % u on positive divisors rejects nearly every pair.
 
 All kernels work in int64 (the table path's running sum of residues
 below 2*m is int32 where that fits).  Callers guarantee N < 2**63 and
@@ -444,23 +447,20 @@ def _column_runs(nx: np.ndarray, sk: int) -> np.ndarray:
 
 
 def _verified_split(by, tb, xc, s0, seg, sxc, sy, bm, n, sm):
-    """(split, pairs): the smallest (lo, hi) split of n, or None, and the
-    number of point pairs, over the shifted ranges [s0, s0 + seg).
-    Ranges are laid out (y-step, base point), so range j belongs to base
-    point tb[j % tb.size], and xc[j] is that point's term of u (below);
-    empty ranges may be included.  They are expanded into point pairs
-    _SCAN_CHUNK >> 2 at a time (a longer range alone).
+    """(split or None, pairs) over the shifted ranges [s0, s0 + seg),
+    laid out (y-step, base point): range j belongs to base point
+    tb[j % tb.size], whose term of u (below) is xc[j].  The ranges are
+    expanded into point pairs _SCAN_CHUNK >> 2 at a time (a longer range
+    alone).
 
-    A pair's candidate u is the CRT value of its x coordinates mod a*m2,
-    x_a*(1 - a) + x_m*a (x_a of the point mod a, x_m mod m2 = a - 1),
-    which is du*a + x_a with du = x_m - x_a taken mod m2.  The base
-    point's term plus a*m2 (xc) and the shifted point's term (sxc) add
-    up to one positive value, reduced below a*m2 by one uint64 minimum.
-    u + a*m2 (u1 = m2) is a second candidate only where du == 0, which is
-    where u < m2.  The x mod a are units, so u >= 1, and n % u runs once
-    on positive divisors; y is read only for the rare pairs where u
-    divides n, where u < 2 is rejected and v checked as
-    _pair_scan_csr_loop does.
+    A pair's candidate u is the CRT value mod a*m2 of its x coordinates,
+    x_a*(1 - a) + x_m*a (x_a mod a, x_m mod m2 = a - 1), that is du*a +
+    x_a with du = x_m - x_a taken mod m2: the base's term plus a*m2 (xc)
+    and the shifted point's (sxc) add up to one positive value, reduced
+    by one uint64 minimum.  u + a*m2 (u1 = m2) is a second candidate only
+    where du == 0, that is where u < m2.  The x mod a are units, so
+    u >= 1, and n % u runs once on positive divisors; y is read only for
+    the rare pairs where u divides n, checked as _pair_scan_csr_loop does.
     """
     a, m2 = max(bm, sm), min(bm, sm)
     am2 = a * m2

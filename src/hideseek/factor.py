@@ -12,8 +12,9 @@ Two variants: the balanced factorer assumes U < V < 2U and uses square
 cells of side ceil(sqrt(a)) with a = ceil_cbrt(2N); the general variant
 uses w-by-h rectangles, doubling w until the planted pair fits.  Full
 mode scans each width with one whole-grid _kernels.hyperbola_scan over
-both solution sets, enumerated by one joint inversion mod a*(a-1); they
-do not depend on w, so the general variant enumerates them once per N.
+both solution sets (_kernels._point_sets); they do not depend on w, so
+the general variant enumerates them once per N.  The scan expands from
+the smaller set, unbucketed, and buckets only the other, once per width.
 Strip mode runs the same scan over windows of whole grid columns,
 enumerating each window's points as it goes, so it holds about
 _kernels._SCAN_CHUNK points of each set at once instead of all phi(a) +
