@@ -559,6 +559,10 @@ def test_pair_scan_digit_edges():
     got = _three_scans(m2 * V, a, [(m2, V % a)], [(0, V % m2), (7, 3)],
                        a, a)
     assert got == (m2, V, 2)
+    # and only u1 = 0: U = (a-1)*a + (a-1) splits n = 3 * U with y digits
+    # that rebuild V = 3, but u1 = a - 1 is no digit of du = -(a-1)
+    assert _three_scans(3 * m2 * a + 3 * m2, a, [(m2, 3)], [(0, 3)],
+                        a, a) == (0, 0, 1)
 
     # u = 1: x = 1 lies in both sets; for this prime n < a*a the pair's
     # y digits rebuild v = n, so only the rule u >= 2 rejects (1, n)
