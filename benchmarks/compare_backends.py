@@ -14,8 +14,8 @@ The second table times the numpy pair scan at a near 2**18, for even,
 odd and 3 | a, on balanced cells and the general variant's width 16:
 with the set mod a as base, then with the set mod a - 1, the other set
 bucketed; and bucketing the larger set as enumerated (column-sorted, one
-radix pass by row) against the same points shuffled (the sort for
-unsorted input).
+radix pass by row) against the same points shuffled (two stable sorts,
+by column and then by row).
 
 The third table times _points' two paths over all of [0, m), both on
 numpy: the units and one batch inversion (_inverses_for_np), against the
@@ -189,7 +189,7 @@ def main():
                bench_inverses(args.repeat) + bench_factor_scan(args.repeat))
     scans, buckets = bench_base_and_bucketing(args.repeat)
     print_rows(("numpy pair scan", "base mod a", "mod a-1"), scans)
-    print_rows(("numpy bucketing", "shuffled", "sorted"), buckets)
+    print_rows(("numpy bucketing", "two sorts", "one pass"), buckets)
     print_rows(("enumeration", "batch", "tables"), bench_enumeration(args.repeat))
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ inversion scans the prefix and suffix products as two rows of one
 blocked scan (_modprod_scan, about 2 multiplications per value), and
 bucketing the points in window-column order that every caller in the
 program passes is one stable radix pass on uint8 or uint16 rows (other
-input takes a sort by cell id, or by column and then by row).
+input takes a sort by column and then one by row).
 
 _points, the one solution enumerator, has two paths, chosen by one size
 rule (_TABLE_MIN).  A whole range [0, m) with m >= 2**15, m not a power
@@ -379,8 +379,7 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     Points already in window-column order, as every caller in the
     program passes them, take one stable sort by row: a radix sort on
     uint8 rows up to 2**8 rows and on uint16 rows up to 2**16.  Other
-    input takes one stable radix sort on uint16 cell ids where the cells
-    fit, else two stable sorts, by window column and then by row.
+    input takes two stable sorts, by window column and then by row.
     """
     ncells = k * rows
     col = xs // cell_w
@@ -393,8 +392,6 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
         row = row.astype(np.uint8 if rows <= 1 << 8 else np.uint16)
     if (col[1:] >= col[:-1]).all():
         order = row.argsort(kind="stable")
-    elif ncells <= 1 << 16:
-        order = np.argsort(cid.astype(np.uint16), kind="stable")
     else:
         order = np.argsort(col, kind="stable")
         order = order[np.argsort(row[order], kind="stable")]
