@@ -127,9 +127,10 @@ def bench_base_and_bucketing(repeat):
             if cells == "balanced":
                 xs, ys = max(sets.values(), key=lambda s: s[0].size)
                 perm = nprng.permutation(xs.size)
+                px, py = xs[perm], ys[perm]
                 buckets.append((f"{shape} a={a:,} {xs.size:,} points",
                                 timeit(lambda: K._bucket_csr_np(
-                                    xs[perm], ys[perm], *grid), repeat),
+                                    px, py, *grid), repeat),
                                 timeit(lambda: K._bucket_csr_np(
                                     xs, ys, *grid), repeat)))
     return scans, buckets
