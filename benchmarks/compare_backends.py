@@ -8,7 +8,8 @@ process can benchmark the two side by side: batch inversion over the
 units of m, and bucketing and the pair scan of a balanced factor scan
 (the set mod a as base, unbucketed).  The neighbor tables are built
 once, outside the timed calls, and both pair scans get the same
-arguments.  Without numba only the numpy column is printed.
+arguments.  The loops are compiled, and timed, only under
+HIDESEEK_BACKEND=numba; otherwise only the numpy column is printed.
 
 The second table times the numpy pair scan at a near 2**18, for even,
 odd and 3 | a, on balanced cells and the general variant's width 16:
@@ -17,7 +18,12 @@ bucketed; and bucketing the larger set as enumerated (column-sorted, one
 radix pass by row) against the same points shuffled (two stable sorts,
 by column and then by row).
 
-The third table times _points' two paths over all of [0, m), both on
+The third table times hyperbola_scan on the general variant's widths
+2, 4, 8 and 16 at the same a, with the y-steps its pair scan keeps and
+the minor page faults per call (resource.getrusage, the process's
+malloc settings left as they are).
+
+The fourth table times _points' two paths over all of [0, m), both on
 numpy: the units and one batch inversion (_inverses_for_np), against the
 prime-power inverse tables (_table_points), for m prime, 2p and smooth
 near 2**16, 2**18 and 2**20.
@@ -27,6 +33,7 @@ Usage: python benchmarks/compare_backends.py [--repeat K]
 
 import argparse
 import random
+import resource
 import statistics
 import time
 from math import isqrt
@@ -55,8 +62,8 @@ def rand_prime(rng, lo, hi):
 
 
 def loop_time(fn, repeat):
-    """fn's time when numba compiles the loops; None without numba, where
-    they would run as plain Python."""
+    """fn's time when numba compiles the loops; None on the numpy
+    backend, where they would run as plain Python."""
     return timeit(fn, repeat) if K.HAVE_NUMBA else None
 
 
@@ -98,13 +105,19 @@ def bench_factor_scan(repeat):
     return rows
 
 
+def scan_moduli():
+    """(shape, a, n) for a = 2**18 (even), 2**18 + 3 (odd) and 2**18 + 5
+    (3 | a), with n > a**3 / 2 odd and prime to a*(a - 1)."""
+    for a in (1 << 18, (1 << 18) + 3, (1 << 18) + 5):
+        shape = "even" if a % 2 == 0 else "3|a" if a % 3 == 0 else "odd"
+        yield shape, a, next(n for n in range(a ** 3 // 2 + 1, a ** 3)
+                             if n % 2 and np.gcd(n, a * (a - 1)) == 1)
+
+
 def bench_base_and_bucketing(repeat):
     scans, buckets = [], []
     nprng = np.random.default_rng(4)
-    for a in (1 << 18, (1 << 18) + 3, (1 << 18) + 5):
-        shape = "even" if a % 2 == 0 else "3|a" if a % 3 == 0 else "odd"
-        n = next(n for n in range(a ** 3 // 2 + 1, a ** 3)
-                 if n % 2 and np.gcd(n, a * (a - 1)) == 1)
+    for shape, a, n in scan_moduli():
         sets = {m: K.hyperbola_points(n, m) for m in (a, a - 1)}
         for cells, w, h, dyc in (("balanced", isqrt(a - 1) + 1,
                                   isqrt(a - 1) + 1, 1),
@@ -134,6 +147,31 @@ def bench_base_and_bucketing(repeat):
                                 timeit(lambda: K._bucket_csr_np(
                                     xs, ys, *grid), repeat)))
     return scans, buckets
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def bench_general_widths(repeat):
+    """hyperbola_scan on the general variant's w x (a // w) cells at radii
+    (1, 2), both sets enumerated beforehand: per call, the time, the
+    y-steps the pair scan keeps (one on grids of at most 5 rows, which
+    _grid scans as one row) and the minor page faults."""
+    rows = []
+    for shape, a, n in scan_moduli():
+        sets = K._point_sets(n, a, a - 1)
+        for w in (2, 4, 8, 16):
+            cols, nrows, h = K._grid(a, w, a // w, 2)
+            _, ny = K._neighbor_tables(cols, nrows, w, h, a, 1, 2, 0, cols,
+                                       0, cols)
+            f0 = minor_faults()
+            t = timeit(lambda: K.hyperbola_scan(n, a, a - 1, w, a // w, 1, 2,
+                                                sets=sets), repeat)
+            rows.append((f"{shape} a={a:,} w={w}", t,
+                         int((ny >= 0).any(axis=1).sum()),
+                         (minor_faults() - f0) / repeat))
+    return rows
 
 
 def enumeration_moduli():
@@ -175,6 +213,14 @@ def print_rows(head, rows):
         print(f"{name:<34} {first:>12} {t1 * 1e6:>10.0f}us {ratio:>9}")
 
 
+def print_width_rows(rows):
+    head = ("numpy hyperbola_scan", "time", "y-steps", "faults")
+    print(f"\n{head[0]:<34} {head[1]:>12} {head[2]:>8} {head[3]:>9}")
+    print("-" * 66)
+    for name, t, steps, faults in rows:
+        print(f"{name:<34} {t * 1e6:>10.0f}us {steps:>8} {faults:>9.0f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=7)
@@ -183,7 +229,7 @@ def main():
     if K.HAVE_NUMBA:
         print("warming up (JIT compile)...")
     else:
-        print("numba is not importable; timing the numpy kernels alone")
+        print("numba backend not selected; timing the numpy kernels alone")
     K.warmup()
 
     print_rows(("kernel", "numba", "numpy"),
@@ -191,6 +237,7 @@ def main():
     scans, buckets = bench_base_and_bucketing(args.repeat)
     print_rows(("numpy pair scan", "base mod a", "mod a-1"), scans)
     print_rows(("numpy bucketing", "two sorts", "one pass"), buckets)
+    print_width_rows(bench_general_widths(args.repeat))
     print_rows(("enumeration", "batch", "tables"), bench_enumeration(args.repeat))
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Backend selection is controlled by the HIDESEEK_BACKEND environment
 variable, read once at import:
 
-    auto   (default)  use numba when importable, else numpy
-    numba             require numba, fail loudly if missing
-    numpy              force the vectorized numpy path
+    auto   (default)  the vectorized numpy path, the one that is measured
+    numba             the loops, compiled; fail loudly if numba is missing
+    numpy             the vectorized numpy path
 
 Only the hot loops exist twice: batch inversion, bucketing and the pair
 scan, as plain loops that numba compiles and as numpy code.  The loop
@@ -19,8 +19,9 @@ The numpy twins of the first two do linear work, as the loops do: batch
 inversion scans the prefix and suffix products as two rows of one
 blocked scan (_modprod_scan, about 2 multiplications per value), and
 bucketing the points in window-column order that every caller in the
-program passes is one stable radix pass on uint8 or uint16 rows (other
-input takes a sort by column and then one by row).
+program passes is one stable radix pass on uint8 or uint16 rows, or
+none on one row (other input takes a sort by column and then one by
+row).
 
 _points, the one solution enumerator, has two paths, chosen by one size
 rule (_TABLE_MIN).  A whole range [0, m) with m >= 2**15, m not a power
@@ -67,7 +68,9 @@ computed once, in numpy (_axis_steps), and _neighbor_tables hands its
 (step, cell) tables to whichever pair scan is bound; neither scan
 applies the rule itself.  Only the radius+1 cells at each end of an axis
 can pass the gap test, so _axis_steps evaluates it only there, at the
-seam.
+seam.  Rows are the same, with one exception (_grid): a grid of at most
+2*dyc + 1 rows, all neighbours of each other, is scanned as one row of
+height a, with the same pairs, one y-step and no row sort.
 
 bucket_csr and pair_scan_csr also work on windows of whole grid columns
 (wrapping mod cols) against the whole grid's neighbor tables, so strip
@@ -89,40 +92,39 @@ _FLAG = os.environ.get("HIDESEEK_BACKEND", "auto").strip().lower()
 if _FLAG not in ("auto", "numba", "numpy"):
     raise RuntimeError(f"HIDESEEK_BACKEND must be auto|numba|numpy, got {_FLAG!r}")
 
-if _FLAG in ("auto", "numba"):
+HAVE_NUMBA = _FLAG == "numba"
+if HAVE_NUMBA:
     try:
         from numba import njit
-
-        HAVE_NUMBA = True
     except ImportError:
-        if _FLAG == "numba":
-            raise RuntimeError("HIDESEEK_BACKEND=numba but numba is not installed")
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+        raise RuntimeError("HIDESEEK_BACKEND=numba but numba is not installed")
 
 ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
-def _axis_steps(ncells: int, cell: int, a: int, radius: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every cell's candidate neighbors, one row per step d in (|d|, d)
-    order, laid out (2*radius+3, ncells).
+def _steps(radius: int) -> list[int]:
+    """An axis's steps d in (|d|, d) order: 0, -1, 1, ..., radius + 1."""
+    return sorted(range(-radius - 1, radius + 2), key=abs)
 
-    Returns (raw, c2, keep): raw = ci + d, c2 = raw mod ncells, and keep
-    marks the steps that reach a cell no earlier step reached and, when
+
+def _axis_steps(ncells: int, cell: int, a: int, radius: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's candidate neighbors, one row per step d of _steps,
+    laid out (2*radius+3, ncells).
+
+    Returns (c2, keep): c2 = (ci + d) mod ncells, and keep marks the
+    steps that reach a cell no earlier step reached and, when
     |d| > radius, pass the wrapped-gap test.  Visiting smaller steps
     first makes the kept step the nearest route.
 
     Only the radius+1 cells at each end of the axis have steps that wrap
     mod ncells or pass the gap test: from any other cell a step of
     radius+1 spans radius whole cells, either way round.  So both the
-    wrap and the gap test run on those cells alone.
+    reduction and the gap test run on those cells alone, in place.
     """
-    steps = sorted(range(-radius - 1, radius + 2), key=lambda d: (abs(d), d))
-    raw = np.add.outer(np.array(steps, dtype=np.int64),
-                       np.arange(ncells, dtype=np.int64))
-    c2 = raw.copy()
+    steps = _steps(radius)
+    c2 = np.add.outer(np.array(steps, dtype=np.int64),
+                      np.arange(ncells, dtype=np.int64))
     r1 = radius + 1
     if ncells > 2 * r1:
         ends = [*range(ncells - r1, ncells), *range(r1)]
@@ -136,7 +138,7 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
         # congruent ones reach the same cell from every ci
         new = [all((d - e) % ncells for e in steps[:j])
                for j, d in enumerate(steps)]
-    keep = np.zeros(raw.shape, dtype=bool)
+    keep = np.zeros(c2.shape, dtype=bool)
     keep[:-2] = np.array(new[:-2])[:, None]
     # the last two rows are the steps -(radius+1), radius+1, kept from
     # the ends where the wrapped gap between the two columns is below
@@ -146,7 +148,7 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
             s1, s2 = i * cell, (i + steps[j]) % ncells * cell
             keep[j, i] = min((s2 - min(s1 + cell, a) + 1) % a,
                              (s1 - min(s2 + cell, a) + 1) % a) < radius * cell
-    return raw, c2, keep
+    return c2, keep
 
 
 def axis_neighbor_table(ncells: int, cell: int, a: int, radius: int
@@ -157,7 +159,8 @@ def axis_neighbor_table(ncells: int, cell: int, a: int, radius: int
     lists the neighbor cell indices of ci in step order, wrapped[ci]
     flags the entries reached across the wrap seam.
     """
-    raw, c2, keep = _axis_steps(ncells, cell, a, radius)
+    c2, keep = _axis_steps(ncells, cell, a, radius)
+    raw = np.add.outer(_steps(radius), np.arange(ncells))
     # pack each cell's kept steps to the left, in step order
     idx = np.flatnonzero(keep)
     ci = idx % ncells
@@ -169,6 +172,15 @@ def axis_neighbor_table(ncells: int, cell: int, a: int, radius: int
     return nbr, wrapped
 
 
+def _grid(a: int, cell_w: int, cell_h: int, dyc: int) -> tuple[int, int, int]:
+    """(cols, rows, cell_h) of both scan drivers' grid.  At most 2*dyc + 1
+    rows all neighbour each other, steps 0, +-1, ..., +-dyc reaching each
+    once, so they scan as one row of height a: the same pairs, one y-step
+    and no row sort."""
+    cols, rows = -(-a // cell_w), -(-a // cell_h)
+    return (cols, 1, a) if rows <= 2 * dyc + 1 else (cols, rows, cell_h)
+
+
 def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The neighbor tables both pair scans read, laid out (step, cell):
@@ -177,13 +189,13 @@ def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
     ny[:, j] the rows next to row j; -1 where a step adds no cell or
     leaves the shifted window.  Whole-grid windows (bc0 = sc0 = 0,
     bk = sk = cols) map every column onto itself and skip the remap."""
-    _, nx, keep = _axis_steps(cols, cell_w, a, dxc)
+    nx, keep = _axis_steps(cols, cell_w, a, dxc)
     nx[~keep] = -1
     # square grids share one table
     if (rows, cell_h, dyc) == (cols, cell_w, dxc):
         ny = nx
     else:
-        _, ny, keep = _axis_steps(rows, cell_h, a, dyc)
+        ny, keep = _axis_steps(rows, cell_h, a, dyc)
         ny[~keep] = -1
     if (bc0, bk, sc0, sk) == (0, cols, 0, cols):
         return nx, ny
@@ -377,26 +389,29 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     column) for any input order, so in input order within a cell.
 
     Points already in window-column order, as every caller in the
-    program passes them, take one stable sort by row: a radix sort on
-    uint8 rows up to 2**8 rows and on uint16 rows up to 2**16.  Other
-    input takes two stable sorts, by window column and then by row.
+    program passes them, are in CSR order on one row (see _grid), and
+    come back as they are; on more rows they take one stable sort by
+    row: a radix sort on uint8 rows up to 2**8 rows and on uint16 rows
+    up to 2**16.  Other input takes two stable sorts, by window column
+    and then by row.
     """
     ncells = k * rows
     col = xs // cell_w
     if c0:
         col = (col - c0) % cols
     row = ys // cell_h
-    cid = row * k + col
-    counts = np.bincount(cid, minlength=ncells)
+    starts = np.zeros(ncells + 1, dtype=np.int64)
+    np.bincount(row * k + col, minlength=ncells).cumsum(out=starts[1:])
+    in_order = (col[1:] >= col[:-1]).all()
+    if in_order and rows == 1:
+        return xs, ys, starts
     if rows <= 1 << 16:
         row = row.astype(np.uint8 if rows <= 1 << 8 else np.uint16)
-    if (col[1:] >= col[:-1]).all():
+    if in_order:
         order = row.argsort(kind="stable")
     else:
         order = np.argsort(col, kind="stable")
         order = order[np.argsort(row[order], kind="stable")]
-    starts = np.zeros(ncells + 1, dtype=np.int64)
-    counts.cumsum(out=starts[1:])
     return xs[order], ys[order], starts
 
 
@@ -769,16 +784,16 @@ def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
     """Pair-scan the whole-grid solution sets mod a and mod m2; returns
     (u, v, points, pairs).  The whole-grid neighbor relation is
     symmetric, so the scan expands from the smaller set, left unbucketed
-    with each point's cell id, and buckets only the other.  sets, the
-    (bx, by, sx, sy) of _point_sets, spares a caller scanning several
-    cell shapes the enumeration.  Goes through the private kernels only,
-    so that a caller wrapping the public ones sees this call once."""
+    with each point's cell id, and buckets only the other, on _grid's
+    grid (one row where all rows neighbour).  sets, the (bx, by, sx, sy)
+    of _point_sets, spares a caller scanning several cell shapes the
+    enumeration.  Goes through the private kernels only, so that a
+    caller wrapping the public ones sees this call once."""
     _check_mod(a)
     _check_mod(m2)
     if not 0 < n < 1 << 63:
         raise ValueError("N out of kernel range")
-    cols = -(-a // cell_w)
-    rows = -(-a // cell_h)
+    cols, rows, cell_h = _grid(a, cell_w, cell_h, dyc)
     bx, by, sx, sy = _point_sets(n, a, m2) if sets is None else sets
     (px, py, pm), (qx, qy, qm) = ((bx, by, a), (sx, sy, m2))[
         ::1 if bx.size <= sx.size else -1]

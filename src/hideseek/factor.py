@@ -15,6 +15,8 @@ mode scans each width with one whole-grid _kernels.hyperbola_scan over
 both solution sets (_kernels._point_sets); they do not depend on w, so
 the general variant enumerates them once per N.  The scan expands from
 the smaller set, unbucketed, and buckets only the other, once per width.
+Widths 2 and 4 have at most 5 = 2*2 + 1 rows, all neighbours of each
+other, so both modes scan them as one row of height a (_kernels._grid).
 Strip mode runs the same scan over windows of whole grid columns,
 enumerating each window's points as it goes, so it holds about
 _kernels._SCAN_CHUNK points of each set at once instead of all phi(a) +
@@ -216,10 +218,10 @@ def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int
     all), which hold every neighbor at radius 1 under the gap rule.  With
     at most cell_w points of a set per column, k = _SCAN_CHUNK // cell_w
     holds about _SCAN_CHUNK points of each set at once, enumerated per
-    window.  Returns (u, v, points, pairs) as hyperbola_scan does."""
+    window, on the grid of _kernels._grid, as hyperbola_scan's.  Returns
+    (u, v, points, pairs) as hyperbola_scan does."""
     m2 = a - 1
-    cols = -(-a // cell_w)
-    rows = -(-a // cell_h)
+    cols, rows, cell_h = _kernels._grid(a, cell_w, cell_h, dyc)
     k = max(1, _kernels._SCAN_CHUNK // cell_w)
     best = (0, 0)
     points = pairs = 0

@@ -463,11 +463,16 @@ def test_backend_env_flag_subprocess():
         capture_output=True, text=True, env=env, check=True)
     row = json.loads(out.stdout)
     assert row["u"] == 7 and row["v"] == 11
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import hideseek; print(hideseek.ACTIVE_BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert probe.stdout.strip() == "numpy"
+    # numpy when asked for, under auto and with the variable unset,
+    # numba installed or not
+    del env["HIDESEEK_BACKEND"]
+    for probe_env in (dict(env, HIDESEEK_BACKEND="numpy"),
+                      dict(env, HIDESEEK_BACKEND="auto"), env):
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import hideseek; print(hideseek.ACTIVE_BACKEND)"],
+            capture_output=True, text=True, env=probe_env, check=True)
+        assert probe.stdout.strip() == "numpy"
 
 
 def test_invariant_violation_exits_three(capsys, monkeypatch):

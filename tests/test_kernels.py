@@ -452,9 +452,9 @@ def test_windowed_scan_backends_agree():
             n, a, w, bwin, swin)
 
 
-def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0):
+def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0, dyc=2):
     """The numpy and loop pair scans on a grid of w x h cells at radii
-    (1, 2), of base (points mod a) against shifted (points mod a - 1) and
+    (1, dyc), of base (points mod a) against shifted (points mod a - 1) and
     again with the roles swapped: each time the base points in their
     given order over bk columns from bc0 (default all), with their cell
     ids, and the shifted points bucketed over every column from sc0.
@@ -463,7 +463,8 @@ def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0):
     two ways agree; returns the result with the base mod a."""
     cols, rows = -(-a // w), -(-a // h)
     bk = cols if bk is None else bk
-    tables = K._neighbor_tables(cols, rows, w, h, a, 1, 2, bc0, bk, sc0, cols)
+    tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, bc0, bk, sc0,
+                                cols)
 
     def arrays(pts):
         return (np.array([p[i] for p in pts], dtype=np.int64) for i in (0, 1))
@@ -480,7 +481,7 @@ def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0):
         res = tuple(int(x) for x in K._pair_scan_csr_np(*args))
         assert res == tuple(int(x) for x in K._pair_scan_csr_loop(*args))
         splits, pairs = set(), 0
-        for p, q in neighbor_pairs(bpts, spts, a, w, h, 1, 2):
+        for p, q in neighbor_pairs(bpts, spts, a, w, h, 1, dyc):
             pairs += 1
             f = check_candidate(n, a, *((p, q) if bm == a else (q, p)))
             if f is not None:
@@ -525,6 +526,49 @@ def test_wrapping_runs_match_oracle():
         if cols > 5:  # shorter axes may keep every column
             assert K._column_runs(nx, cols)[1][bk:].any(), (a, w, bc0, sc0)
         _three_scans(n, a, base, shifted, w, h, bc0, bk, sc0)
+
+
+@pytest.mark.parametrize("dyc", [1, 2])
+def test_one_row_rule(monkeypatch, dyc):
+    """Grids of 1 to 6 rows of height h, the last one whole or truncated
+    (one row taller than a included), at widths 2 and 4: _grid scans up
+    to 2*dyc + 1 rows as one row of height a and keeps 2*dyc + 2 rows and
+    more.  Either way hyperbola_scan, on the numpy kernels and on the
+    loop twins, equals the public bucket_csr -> pair_scan_csr chain on
+    the rows as given, and there the numpy scan, the loop scan and the
+    oracle; strip mode over windows of a few columns equals full mode."""
+    from hideseek.factor import _strip_scan
+    from util import rand_prime
+
+    monkeypatch.setattr(K, "_SCAN_CHUNK", 24)
+    rng = random.Random(60 + dyc)
+    for rows in range(1, 7):
+        for cut in (0, 1):
+            h = rng.randrange(40, 90)
+            a = rows * h - cut * rng.randrange(1, h // 2)
+            n = rand_prime(rng, a + 1, 3 * a) * rand_prime(rng, a + 1, a * a)
+            sets = [list(zip(*(c.tolist() for c in K.hyperbola_points(n, m))))
+                    for m in (a, a - 1)]
+            for w in (2, 4):
+                cols = -(-a // w)
+                assert K._grid(a, w, h, dyc) == (
+                    (cols, 1, a) if rows <= 2 * dyc + 1 else (cols, rows, h))
+                got = K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc)
+                assert got[2] == len(sets[0]) + len(sets[1])
+                want = (got[0], got[1], got[3])
+                chain = K.pair_scan_csr(
+                    *K.bucket_csr(*K.hyperbola_points(n, a), w, h, cols, rows),
+                    *K.bucket_csr(*K.hyperbola_points(n, a - 1), w, h, cols,
+                                  rows),
+                    cols, rows, w, h, a, 1, dyc, n, a - 1)
+                assert chain == want, (n, a, w, h, dyc)
+                assert _three_scans(n, a, *sets, w, h, dyc=dyc) == want
+                strip = _strip_scan(n, a, w, h, dyc)
+                assert (strip[0], strip[1], strip[3]) == want
+                with monkeypatch.context() as m:
+                    m.setattr(K, "_bucket", K._bucket_csr_loop)
+                    m.setattr(K, "_pair_scan", K._pair_scan_csr_loop)
+                    assert K.hyperbola_scan(n, a, a - 1, w, h, 1, dyc) == got
 
 
 def test_pair_scan_digit_edges():
