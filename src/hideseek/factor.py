@@ -218,7 +218,7 @@ def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int
     all), which hold every neighbor at radius 1 under the gap rule.  With
     at most cell_w points of a set per column, k = _SCAN_CHUNK // cell_w
     holds about _SCAN_CHUNK points of each set at once, enumerated per
-    window, on the grid of _kernels._grid, as hyperbola_scan's.  Returns
+    window, on _kernels._grid's grid as in hyperbola_scan.  Returns
     (u, v, points, pairs) as hyperbola_scan does."""
     m2 = a - 1
     cols, rows, cell_h = _kernels._grid(a, cell_w, cell_h, dyc)
