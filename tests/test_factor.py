@@ -206,6 +206,61 @@ def test_strip_mode_memory_budget(monkeypatch):
     assert 4 * peak_strip < peak_full
 
 
+# (variant, N, split, last w, {_SCAN_CHUNK: (points, pairs)}): a = 1262,
+# 1261, 1260, 12602, 12599, 12600, 2715, 5848 for the balanced variant
+# and 1000, 1001, 1002, 10000, 10001, 10002, 2154, 4642 for the general
+# one, so a is even, odd and a multiple of 3 at 1e9 and at 1e12
+STRIP_GOLDENS = [
+    (hide_seek_balanced, 1003615159, (24359, 41201), 36,
+     {64: (6390, 5326), 1024: (2013, 5326)}),
+    (hide_seek_balanced, 1002215689, (30631, 32719), 36,
+     {64: (2592, 2360), 1024: (1499, 2360)}),
+    (hide_seek_balanced, 998686001, (24019, 41579), 36,
+     {64: (6578, 2616), 1024: (1832, 2616)}),
+    (hide_seek_balanced, 1000556608897, (999067, 1001491), 113,
+     {64: (69300, 57804), 1024: (24720, 57804)}),
+    (hide_seek_balanced, 999946810979, (994229, 1005751), 113,
+     {64: (43754, 56184), 1024: (21470, 56184)}),
+    (hide_seek_balanced, 1000138202549, (964499, 1036951), 113,
+     {64: (64200, 25718), 1024: (20807, 25718)}),
+    (hide_seek_balanced, 10002590321, (96043, 104147), 53,
+     {64: (7820, 6360), 1024: (2996, 6360)}),
+    (hide_seek_balanced, 99967429811, (281363, 355297), 77,
+     {64: (22168, 16736), 1024: (7811, 16736)}),
+    (hide_seek_general, 999745423, (1087, 919729), 2,
+     {64: (1129, 1554), 1024: (1048, 1554)}),
+    (hide_seek_general, 1000491347, (3659, 273433), 2,
+     {64: (1171, 1724), 1024: (1120, 1724)}),
+    (hide_seek_general, 1003692593, (10427, 96259), 16,
+     {64: (5576, 11686), 1024: (4208, 11686)}),
+    (hide_seek_general, 999709521611, (127877, 7817743), 16,
+     {64: (51299, 115132), 1024: (40720, 115132)}),
+    (hide_seek_general, 1000194975089, (189617, 5274817), 32,
+     {64: (84504, 246325), 1024: (69933, 246325)}),
+    (hide_seek_general, 1000421308841, (188107, 5318363), 16,
+     {64: (70903, 156136), 1024: (53636, 156136)}),
+    (hide_seek_general, 9986554499, (15937, 626627), 8,
+     {64: (10494, 23703), 1024: (8758, 23703)}),
+    (hide_seek_general, 99989007241, (37619, 2657939), 8,
+     {64: (15242, 34464), 1024: (13344, 34464)}),
+]
+
+
+@pytest.mark.parametrize("chunk", [1 << 6, 1 << 10])
+def test_strip_mode_counter_goldens(monkeypatch, chunk):
+    """Strip mode's split, last width, points and pairs at two window
+    sizes, most widths running several column windows: points counts the
+    shifted columns each window enumerates, so it pins the windows."""
+    from hideseek import _kernels
+
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
+    for variant, n, split, w, counts in STRIP_GOLDENS:
+        st = FactorStats()
+        assert variant(n, strip_mode=True, stats=st) == Factorization(
+            n, *split), n
+        assert (st.w, st.points, st.pairs) == (w, *counts[chunk]), n
+
+
 def test_trial_division_examples():
     assert trial_division(77, 10) == Factorization(77, 7, 11)
     assert trial_division(101, 10) is None
