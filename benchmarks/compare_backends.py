@@ -21,7 +21,10 @@ by column and then by row).
 The third table times hyperbola_scan on the general variant's widths
 2, 4, 8 and 16 at the same a, with the y-steps its pair scan keeps and
 the minor page faults per call (resource.getrusage, the process's
-malloc settings left as they are).
+malloc settings left as they are), and beside it strip mode's scan of
+the same width (factor._strip_scan at the default _SCAN_CHUNK), with its
+column windows and faults per call.  hyperbola_scan is given both sets;
+strip mode enumerates every window itself, as it does in factor.
 
 The fourth table times _points' two paths over all of [0, m), both on
 numpy: the units and one batch inversion (_inverses_for_np), against the
@@ -42,7 +45,7 @@ import numpy as np
 
 from hideseek import _kernels as K
 from hideseek.arith import ceil_cbrt, prime_factors
-from hideseek.factor import is_probable_prime
+from hideseek.factor import _strip_scan, is_probable_prime
 
 
 def timeit(fn, repeat):
@@ -153,11 +156,19 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def timed_faults(fn, repeat):
+    """(fn's median time, minor page faults per call)."""
+    f0 = minor_faults()
+    return timeit(fn, repeat), (minor_faults() - f0) / repeat
+
+
 def bench_general_widths(repeat):
     """hyperbola_scan on the general variant's w x (a // w) cells at radii
-    (1, 2), both sets enumerated beforehand: per call, the time, the
-    y-steps the pair scan keeps (one on grids of at most 5 rows, which
-    _grid scans as one row) and the minor page faults."""
+    (1, 2), both sets enumerated beforehand, and strip mode's scan of the
+    same cells: per call, the time, the y-steps the pair scan keeps (one
+    on grids of at most 5 rows, which _grid scans as one row) and the
+    minor page faults; for strip mode the time, its column windows and
+    the faults."""
     rows = []
     for shape, a, n in scan_moduli():
         sets = K._point_sets(n, a, a - 1)
@@ -165,12 +176,14 @@ def bench_general_widths(repeat):
             cols, nrows, h = K._grid(a, w, a // w, 2)
             _, ny = K._neighbor_tables(cols, nrows, w, h, a, 1, 2, 0, cols,
                                        0, cols)
-            f0 = minor_faults()
-            t = timeit(lambda: K.hyperbola_scan(n, a, a - 1, w, a // w, 1, 2,
-                                                sets=sets), repeat)
-            rows.append((f"{shape} a={a:,} w={w}", t,
-                         int((ny >= 0).any(axis=1).sum()),
-                         (minor_faults() - f0) / repeat))
+            full = timed_faults(lambda: K.hyperbola_scan(
+                n, a, a - 1, w, a // w, 1, 2, sets=sets), repeat)
+            strip = timed_faults(lambda: _strip_scan(n, a, w, a // w, 2),
+                                 repeat)
+            windows = -(-cols // max(1, K._SCAN_CHUNK // w))
+            rows.append((f"{shape} a={a:,} w={w}", full[0],
+                         int((ny >= 0).any(axis=1).sum()), full[1],
+                         strip[0], windows, strip[1]))
     return rows
 
 
@@ -214,11 +227,12 @@ def print_rows(head, rows):
 
 
 def print_width_rows(rows):
-    head = ("numpy hyperbola_scan", "time", "y-steps", "faults")
-    print(f"\n{head[0]:<34} {head[1]:>12} {head[2]:>8} {head[3]:>9}")
-    print("-" * 66)
-    for name, t, steps, faults in rows:
-        print(f"{name:<34} {t * 1e6:>10.0f}us {steps:>8} {faults:>9.0f}")
+    print(f"\n{'numpy hyperbola_scan':<34} {'time':>12} {'y-steps':>8} "
+          f"{'faults':>9} {'strip time':>12} {'windows':>8} {'faults':>9}")
+    print("-" * 98)
+    for name, t, steps, faults, ts, windows, fs in rows:
+        print(f"{name:<34} {t * 1e6:>10.0f}us {steps:>8} {faults:>9.0f} "
+              f"{ts * 1e6:>10.0f}us {windows:>8} {fs:>9.0f}")
 
 
 def main():

@@ -34,9 +34,9 @@ and summed over [0, m) (_table_points).  Near m = 2**20 that is about
 Column windows and smaller ranges take one batch inversion over their
 units.
 The whole-grid enumeration of both sets, mod a and mod a-1, shares one
-batch inversion mod a*(a-1) below the same size (_point_sets), in
-hyperbola_scan, the full-mode scan of both factorers, or once in a
-caller that passes it the sets.
+batch inversion mod a*(a-1) below the same size (_point_sets), in a
+whole-grid window of _scan_windows, or once in a caller that passes it
+the sets.
 
 The pair scans take their base points in any order, each with its cell
 id, and only the shifted set bucketed.  On a whole grid the neighbor
@@ -72,11 +72,17 @@ seam.  Rows are the same, with one exception (_grid): a grid of at most
 2*dyc + 1 rows, all neighbours of each other, is scanned as one row of
 height a, with the same pairs, one y-step and no row sort.
 
-bucket_csr and pair_scan_csr also work on windows of whole grid columns
-(wrapping mod cols) against the whole grid's neighbor tables, so strip
-mode can run the full-mode scan window by window in bounded memory.
-_neighbor_tables maps the base window's columns into the shifted window;
-a whole-grid window, the full-mode case, skips that remap.
+One driver, _scan_windows, runs the pair scan of both modes over windows
+of k whole grid columns, from the base set its caller names.
+hyperbola_scan, full mode, is one window of the whole grid, from the
+smaller set; strip mode (factor._strip_scan) takes k = _SCAN_CHUNK //
+cell_w windows from the set mod a.  A whole-grid window takes both whole
+sets of _point_sets.  A narrower one expands its base columns against
+the shifted columns from dxc + 1 before to dxc + 1 after it (wrapping mod
+cols), enumerating both by _points, and _neighbor_tables maps its columns
+into the shifted window; a whole-grid window skips that remap.  The
+public bucket_csr and pair_scan_csr work on whole grids only, for
+callers that want the bucketed sets.
 """
 
 from __future__ import annotations
@@ -593,9 +599,19 @@ else:
 _MAX_MOD = 1 << 31
 
 
+class OutOfRangeError(ValueError):
+    """The input lies outside the supported range: a modulus >= 2**31,
+    N >= 2**63 where the hide-seek kernels are needed, or past a size cap
+    of the moments suite or the digit-polynomial search.  Defined here so
+    that the kernels can raise it; hideseek.factor exports it."""
+
+
 def _check_mod(m: int) -> None:
+    """A modulus below 2 is a bad argument; one of 2**31 or more is out
+    of range."""
     if not 2 <= m < _MAX_MOD:
-        raise ValueError(f"modulus out of kernel range [2, 2**31): {m}")
+        raise (ValueError if m < 2 else OutOfRangeError)(
+            f"modulus out of kernel range [2, 2**31): {m}")
 
 
 def _units(m: int, x0: int, hi: int, factors=None) -> np.ndarray:
@@ -754,55 +770,87 @@ def hyperbola_points(n: int, m: int, x0: int = 0, width: int | None = None
     return _points(n, m, x0, m if width is None else min(x0 + width, m))
 
 
-def bucket_csr(xs, ys, cell_w, cell_h, cols, rows, c0=0, k=None):
-    """Sort points into row-major cells: (xs, ys, starts) CSR arrays, over
-    the k grid columns (default all cols) from column c0, mod cols."""
-    xs = np.ascontiguousarray(xs, dtype=np.int64)
-    ys = np.ascontiguousarray(ys, dtype=np.int64)
-    return _bucket(xs, ys, cell_w, cell_h, cols, rows, c0,
-                   cols if k is None else k)
+def bucket_csr(xs, ys, cell_w, cell_h, cols, rows):
+    """Sort points into the cols-by-rows grid's row-major cells: (xs, ys,
+    starts) CSR arrays."""
+    xs, ys = (np.ascontiguousarray(c, dtype=np.int64) for c in (xs, ys))
+    return _bucket(xs, ys, cell_w, cell_h, cols, rows, 0, cols)
 
 
 def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
-                  cell_w, cell_h, a, dxc, dyc, n, m2, bc0=0, sc0=0):
-    """Scan neighborhood pairs of bucketed point sets for a split of n;
-    the sets may be bucketed over column windows from bc0 and sc0 (see
-    bucket_csr), and base points meet the neighbor cells in the shifted
-    window."""
+                  cell_w, cell_h, a, dxc, dyc, n, m2):
+    """Scan neighborhood pairs of two sets bucketed over the whole grid by
+    bucket_csr, the base mod a, for a split of n; returns (u, v, pairs).
+    Each base point's cell id is read off the base CSR."""
     bcell = np.repeat(np.arange(bstarts.size - 1), np.diff(bstarts))
-    nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                              bc0, (bstarts.size - 1) // rows,
-                              sc0, (sstarts.size - 1) // rows)
-    u, v, pairs = _pair_scan(bx, by, bcell, sx, sy, sstarts, nx, ny,
-                             a, n, m2)
+    u, v, pairs = _pair_scan(
+        bx, by, bcell, sx, sy, sstarts,
+        *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                          0, cols, 0, cols), a, n, m2)
     return int(u), int(v), int(pairs)
+
+
+def _scan_windows(n: int, bm: int, sm: int, cell_w: int, cell_h: int,
+                  dxc: int, dyc: int, k: int, sets: tuple | None = None
+                  ) -> tuple[int, int, int, int]:
+    """The pair scan of both modes, base points mod bm against shifted
+    points mod sm (a = max(bm, sm), m2 the other), over windows of k whole
+    columns of _grid's grid; returns (u, v, points, pairs).  Every window
+    leaves its base points unbucketed, each with its cell id in the
+    window, and buckets only the shifted window.
+
+    A window of the whole grid (k >= cols) takes both whole sets: sets,
+    the (bx, by, sx, sy) of _point_sets mod a and m2, or that call.  A
+    narrower one meets base columns [c0, c0 + bk) with shifted columns
+    [c0 - r, c0 + bk + r), wrapping mod cols (or all columns), r = dxc +
+    1: they hold every neighbor under the gap rule.  Each enumerated by
+    _points, they hold about k*cell_w points of each set at once.  Goes
+    through the private kernels only, so that a caller wrapping the
+    public ones sees no call of them."""
+    a, m2 = max(bm, sm), min(bm, sm)
+    cols, rows, cell_h = _grid(a, cell_w, cell_h, dyc)
+    found, points, pairs = [], 0, 0
+    for c0 in range(0, cols, k):
+        bk = min(k, cols - c0)
+        sk = min(bk + 2 * dxc + 2, cols)
+        s0 = (c0 - dxc - 1) % cols if sk < cols else 0
+        if bk == cols:
+            sets = _point_sets(n, a, m2) if sets is None else sets
+            bx, by, sx, sy = sets if bm == a else (*sets[2:], *sets[:2])
+        else:
+            bx, by = _points(n, bm, c0 * cell_w, min((c0 + bk) * cell_w, bm))
+            sx, sy = np.concatenate(
+                [_points(n, sm, lo * cell_w, min(hi * cell_w, sm))
+                 for lo, hi in ((s0, min(s0 + sk, cols)), (0, s0 + sk - cols))
+                 if lo < hi], axis=1)
+        bcell = bx // cell_w - c0 if c0 else bx // cell_w
+        bcell += by // cell_h * bk
+        u, v, got = _pair_scan(
+            bx, by, bcell,
+            *_bucket(sx, sy, cell_w, cell_h, cols, rows, s0, sk),
+            *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                              c0, bk, s0, sk), bm, n, sm)
+        points, pairs = points + bx.size + sx.size, pairs + int(got)
+        found += [(int(u), int(v))] if u else []
+    return (*min(found, default=(0, 0)), points, pairs)
 
 
 def hyperbola_scan(n: int, a: int, m2: int, cell_w: int, cell_h: int,
                    dxc: int, dyc: int, *, sets: tuple | None = None
                    ) -> tuple[int, int, int, int]:
     """Pair-scan the whole-grid solution sets mod a and mod m2; returns
-    (u, v, points, pairs).  The whole-grid neighbor relation is
-    symmetric, so the scan expands from the smaller set, left unbucketed
-    with each point's cell id, and buckets only the other, on _grid's
-    grid (one row where all rows neighbour).  sets, the (bx, by, sx, sy)
-    of _point_sets, spares a caller scanning several cell shapes the
-    enumeration.  Goes through the private kernels only, so that a
-    caller wrapping the public ones sees this call once."""
+    (u, v, points, pairs): _scan_windows over one window of the whole
+    grid.  The whole-grid neighbor relation is symmetric, so the scan
+    expands from the smaller set.  sets, the (bx, by, sx, sy) of
+    _point_sets, spares a caller scanning several cell shapes the
+    enumeration."""
     _check_mod(a)
     _check_mod(m2)
     if not 0 < n < 1 << 63:
         raise ValueError("N out of kernel range")
-    cols, rows, cell_h = _grid(a, cell_w, cell_h, dyc)
-    bx, by, sx, sy = _point_sets(n, a, m2) if sets is None else sets
-    (px, py, pm), (qx, qy, qm) = ((bx, by, a), (sx, sy, m2))[
-        ::1 if bx.size <= sx.size else -1]
-    u, v, pairs = _pair_scan(
-        px, py, py // cell_h * cols + px // cell_w,
-        *_bucket(qx, qy, cell_w, cell_h, cols, rows, 0, cols),
-        *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                          0, cols, 0, cols), pm, n, qm)
-    return int(u), int(v), bx.size + sx.size, int(pairs)
+    sets = _point_sets(n, a, m2) if sets is None else sets
+    bm, sm = (a, m2) if sets[0].size <= sets[2].size else (m2, a)
+    return _scan_windows(n, bm, sm, cell_w, cell_h, dxc, dyc, a, sets)
 
 
 def warmup() -> None:

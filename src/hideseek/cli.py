@@ -8,10 +8,10 @@ stream in hideseek.rng, seeded from --seed.
 
 Exit codes: 0 success, 1 no factor found where one was claimed, 2 usage
 or parse failure, 3 internal invariant violation, 4 input outside the
-supported range: N >= 2**63 where the hide-seek kernels are needed (for
-`factor`, a composite that trial division up to N**(1/3) does not split),
-a > 4096 for a torus or spectral `moment`, or a `polyfactor` instance
-whose predicted size exceeds its cap.
+supported range: a modulus >= 2**31, N >= 2**63 where the hide-seek
+kernels are needed (for `factor`, a composite that trial division up to
+N**(1/3) does not split), a > 4096 for a torus or spectral `moment`, or
+a `polyfactor` instance whose predicted size exceeds its cap.
 """
 
 from __future__ import annotations

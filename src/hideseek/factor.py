@@ -10,17 +10,19 @@ split in O(a^(1+eps)) work.
 
 Two variants: the balanced factorer assumes U < V < 2U and uses square
 cells of side ceil(sqrt(a)) with a = ceil_cbrt(2N); the general variant
-uses w-by-h rectangles, doubling w until the planted pair fits.  Full
-mode scans each width with one whole-grid _kernels.hyperbola_scan over
-both solution sets (_kernels._point_sets); they do not depend on w, so
-the general variant enumerates them once per N.  The scan expands from
-the smaller set, unbucketed, and buckets only the other, once per width.
-Widths 2 and 4 have at most 5 = 2*2 + 1 rows, all neighbours of each
-other, so both modes scan them as one row of height a (_kernels._grid).
-Strip mode runs the same scan over windows of whole grid columns,
-enumerating each window's points as it goes, so it holds about
+uses w-by-h rectangles, doubling w until the planted pair fits.  Both
+modes scan each width through one driver, _kernels._scan_windows, which
+leaves its base points unbucketed and buckets only the shifted ones.
+Full mode runs it over one window of the whole grid, by
+_kernels.hyperbola_scan, on both whole solution sets
+(_kernels._point_sets); they do not depend on w, so the general variant
+enumerates them once per N, and the scan expands from the smaller set.
+Strip mode runs it over windows of whole grid columns, from the set mod
+a, enumerating each window's points as it goes, so it holds about
 _kernels._SCAN_CHUNK points of each set at once instead of all phi(a) +
-phi(a-1), and returns the same answer and pair count.
+phi(a-1), and returns the same answer and pair count.  Widths 2 and 4
+have at most 5 = 2*2 + 1 rows, all neighbours of each other, so both
+modes scan them as one row of height a (_kernels._grid).
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-import numpy as np
-
 from . import _kernels
+from ._kernels import OutOfRangeError
 from .arith import ceil_cbrt
-from .solutions import _strip_arrays
+# not called here: hsbench/tracing.py wraps hideseek.factor._strip_arrays
+from .solutions import _strip_arrays  # noqa: F401
 
 __all__ = [
     "Factorization",
@@ -58,12 +60,6 @@ _KERNEL_LIMIT = 1 << 63
 
 class InvariantError(RuntimeError):
     """An internal soundness or completeness guarantee was violated."""
-
-
-class OutOfRangeError(ValueError):
-    """The input lies outside the supported range: N >= 2**63 where the
-    hide-seek kernels are needed, or past a size cap of the moments suite
-    or the digit-polynomial search."""
 
 
 @dataclass(frozen=True)
@@ -213,35 +209,18 @@ def _scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int,
 
 def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int
                 ) -> tuple[int, int, int, int]:
-    """Strip mode's pair scan, over windows of k whole grid columns: base
-    columns [c0, c0+k) meet shifted columns [c0-2, c0+k+2) mod cols (or
-    all), which hold every neighbor at radius 1 under the gap rule.  With
-    at most cell_w points of a set per column, k = _SCAN_CHUNK // cell_w
-    holds about _SCAN_CHUNK points of each set at once, enumerated per
-    window, on _kernels._grid's grid as in hyperbola_scan.  Returns
-    (u, v, points, pairs) as hyperbola_scan does."""
-    m2 = a - 1
-    cols, rows, cell_h = _kernels._grid(a, cell_w, cell_h, dyc)
-    k = max(1, _kernels._SCAN_CHUNK // cell_w)
-    best = (0, 0)
-    points = pairs = 0
-    for c0 in range(0, cols, k):
-        bk = min(k, cols - c0)
-        s0, sk = ((c0 - 2) % cols, bk + 4) if bk + 4 < cols else (0, cols)
-        base = _strip_arrays(N, a, c0 * cell_w, bk * cell_w)
-        shifted = np.concatenate(
-            [_strip_arrays(N, m2, lo * cell_w, (hi - lo) * cell_w)
-             for lo, hi in ((s0, min(s0 + sk, cols)), (0, s0 + sk - cols))
-             if lo < hi], axis=1)
-        points += base[0].size + shifted[0].size
-        u, v, got = _kernels.pair_scan_csr(
-            *_kernels.bucket_csr(*base, cell_w, cell_h, cols, rows, c0, bk),
-            *_kernels.bucket_csr(*shifted, cell_w, cell_h, cols, rows, s0, sk),
-            cols, rows, cell_w, cell_h, a, 1, dyc, N, m2, c0, s0)
-        pairs += got
-        if u and (not best[0] or (u, v) < best):
-            best = (u, v)
-    return (*best, points, pairs)
+    """Strip mode's pair scan: _kernels._scan_windows over windows of
+    k = _SCAN_CHUNK // cell_w whole grid columns, the base set mod a in
+    every window.  With at most cell_w points of a set per column, a
+    window holds about _SCAN_CHUNK points of each set at once.  A window
+    of the whole grid enumerates both sets together (_point_sets), but
+    unlike hyperbola_scan keeps the base mod a: on the strip benchmark
+    (a below 5000) expanding from the smaller set took more page faults
+    than it saved.  Returns (u, v, points, pairs) as hyperbola_scan does,
+    but does not call it, since the benchmark's tracer replays every
+    hyperbola_scan call over the whole grid."""
+    return _kernels._scan_windows(N, a, a - 1, cell_w, cell_h, 1, dyc,
+                                  max(1, _kernels._SCAN_CHUNK // cell_w))
 
 
 def trial_division(N: int, bound: int) -> Factorization | None:

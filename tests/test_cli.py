@@ -214,6 +214,18 @@ GOLDEN_ERRORS = {
     "moment 1 4099 --rect 1 1": (4,
         "input outside the supported range: torus scan limited to "
         "a <= 4096\n"),
+    "kloosterman 1 1 2147483659": (4,
+        "input outside the supported range: modulus out of kernel range "
+        "[2, 2**31): 2147483659\n"),
+    "moment 7 2147483659 --cell 5": (4,
+        "input outside the supported range: modulus out of kernel range "
+        "[2, 2**31): 2147483659\n"),
+    "scan-deviation 7 2147483659": (4,
+        "input outside the supported range: modulus out of kernel range "
+        "[2, 2**31): 2147483659\n"),
+    "solve 7 2147483659 --rect 0 5 0 5": (4,
+        "input outside the supported range: modulus out of kernel range "
+        "[2, 2**31): 2147483659\n"),
 }
 
 FORMATS = ("plain", "json", "csv")

@@ -159,7 +159,8 @@ def test_strip_mode_equals_full_mode():
 def test_strip_mode_windows_equal_full_mode(monkeypatch, chunk):
     """With a small _SCAN_CHUNK, strip mode runs many column windows, the
     first and last wrapping across the seam; split and pairs stay those
-    of full mode."""
+    of full mode, also where N has several splits that different windows
+    find and the smallest must win."""
     from hideseek import _kernels
 
     monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
@@ -180,6 +181,13 @@ def test_strip_mode_windows_equal_full_mode(monkeypatch, chunk):
             hide_seek_general, n)
         assert f_full == f_strip == Factorization(n, p, q)
         assert s_full.pairs == s_strip.pairs
+    for _ in range(3):
+        p, q, r = (rand_prime(rng, 30, 400) for _ in range(3))
+        for variant in (hide_seek_balanced, hide_seek_general):
+            (f_full, s_full), (f_strip, s_strip) = _strip_and_full(
+                variant, p * q * r)
+            assert f_full == f_strip, (p, q, r)
+            assert s_full.pairs == s_strip.pairs
 
 
 def test_strip_mode_memory_budget(monkeypatch):
@@ -244,6 +252,32 @@ STRIP_GOLDENS = [
     (hide_seek_general, 99989007241, (37619, 2657939), 8,
      {64: (15242, 34464), 1024: (13344, 34464)}),
 ]
+
+
+def test_strip_mode_buckets_only_shifted_windows(monkeypatch):
+    """Strip mode runs the scan driver without the public hyperbola_scan,
+    bucket_csr or pair_scan_csr, so that a wrapper around those sees no
+    strip scan, and buckets one shifted window per column window, its
+    base left unbucketed: at 36 one-column windows and at one window."""
+    from hideseek import _kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strip mode called a public scan kernel")
+
+    for name in ("hyperbola_scan", "bucket_csr", "pair_scan_csr"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    calls = []
+    bucket = _kernels._bucket
+    monkeypatch.setattr(_kernels, "_bucket",
+                        lambda *args: calls.append(args[6:]) or bucket(*args))
+    n = 1003615159  # a = 1262, cells of 36 x 36, 36 columns
+    for chunk, windows in ((36, 36), (1 << 18, 1)):
+        monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
+        calls.clear()
+        assert hide_seek_balanced(n, strip_mode=True) == Factorization(
+            n, 24359, 41201)
+        assert len(calls) == windows, chunk
+    assert calls == [(0, 36)]
 
 
 @pytest.mark.parametrize("chunk", [1 << 6, 1 << 10])

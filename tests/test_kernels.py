@@ -414,8 +414,7 @@ def test_hyperbola_scan_backends_agree():
 def test_windowed_scan_backends_agree():
     """Over column windows, wrapping ones included, with the base mod a
     and with the base mod a - 1: the numpy kernels equal the loop
-    kernels, and pair_scan_csr, which reads the base cells off a CSR,
-    equals the scans of the base points in enumeration order."""
+    kernels, both in the pair scan and in bucketing a window."""
     rng = random.Random(48)
     from hideseek.arith import ceil_cbrt
     from util import arbitrary_semiprime
@@ -429,27 +428,18 @@ def test_windowed_scan_backends_agree():
         dxc, dyc = rng.choice(((1, 1), (1, 2)))
         bwin, swin = [(rng.randrange(cols), rng.randrange(1, cols + 1))
                       for _ in range(2)]
-        got = _scan_both_ways(
+        _scan_both_ways(
             n, a, w, h, dxc, dyc, bwin, swin,
             lambda *win: K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
                                             *win))
-        (bc0, bk), (sc0, sk) = bwin, swin
-        for m in (a, a - 1):
+        for m, (c0, k) in ((a, bwin), (a - 1, swin)):
             xs, ys = K.hyperbola_points(n, m)
-            c0, k = bwin if m == a else swin
             inside = (xs // w - c0) % cols < k
-            win = K._bucket_csr_np(xs[inside], ys[inside], w, h, cols, rows,
-                                   c0, k)
-            for x, y in zip(win, K._bucket_csr_loop(
-                    xs[inside], ys[inside], w, h, cols, rows, c0, k)):
+            for x, y in zip(K._bucket_csr_np(xs[inside], ys[inside], w, h,
+                                             cols, rows, c0, k),
+                            K._bucket_csr_loop(xs[inside], ys[inside], w, h,
+                                               cols, rows, c0, k)):
                 assert np.array_equal(x, y)
-            if m == a:
-                base = win
-            else:
-                shifted = win
-        assert K.pair_scan_csr(*base, *shifted, cols, rows, w, h, a, dxc,
-                               dyc, n, a - 1, bc0, sc0) == got[a], (
-            n, a, w, bwin, swin)
 
 
 def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0, dyc=2):
@@ -764,9 +754,18 @@ def test_inverses_for_large_shuffled_units():
 
 
 def test_kernel_range_guards():
-    with pytest.raises(ValueError):
+    """A modulus below 2 is a bad argument, a plain ValueError; one of
+    2**31 or more is out of range, the error the CLI exits 4 on."""
+    from hideseek.factor import OutOfRangeError
+
+    assert OutOfRangeError is K.OutOfRangeError
+    with pytest.raises(ValueError) as bad:
         K.unit_inverse_table(1)
-    with pytest.raises(ValueError):
-        K.unit_inverse_table(1 << 31)
+    assert not isinstance(bad.value, OutOfRangeError)
+    for m in (1 << 31, (1 << 31) + 11):
+        with pytest.raises(OutOfRangeError):
+            K.unit_inverse_table(m)
+        with pytest.raises(OutOfRangeError):
+            K.hyperbola_points(7, m)
     with pytest.raises(ValueError):
         K.hyperbola_scan(1 << 63, 100, 99, 10, 10, 1, 1)
