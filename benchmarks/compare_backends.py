@@ -21,7 +21,9 @@ by column and then by row).
 The third table times hyperbola_scan on the general variant's widths
 2, 4, 8 and 16 at the same a, with the y-steps its pair scan keeps and
 the minor page faults per call (resource.getrusage, the process's
-malloc settings left as they are), and beside it strip mode's scan of
+malloc settings left as they are), the neighbor setup that scan makes
+(_neighbor_tables over the whole grid) with its own time and faults per
+call, and beside them strip mode's scan of
 the same width (factor._strip_scan at the default _SCAN_CHUNK), with its
 column windows and faults per call.  hyperbola_scan is given both sets;
 strip mode enumerates every window itself, as it does in factor.
@@ -95,8 +97,8 @@ def bench_factor_scan(repeat):
         sx, sy = K.hyperbola_points(n, a - 1)
         args = (bx, by, by // b * cols + bx // b,
                 *K._bucket_csr_np(sx, sy, *grid),
-                *K._neighbor_tables(cols, cols, b, b, a, 1, 1, 0, cols,
-                                    0, cols), a, n, a - 1)
+                *K._neighbor_tables(cols, cols, b, b, a, 1, 1, 0, cols),
+                a, n, a - 1)
         tag = f"N~1e{len(str(target)) - 1}"
         rows.append((f"bucket_csr {tag}",
                      loop_time(lambda: K._bucket_csr_loop(bx, by, *grid),
@@ -127,8 +129,7 @@ def bench_base_and_bucketing(repeat):
                                  ("width 16", 16, a // 16, 2)):
             cols, rows = -(-a // w), -(-a // h)
             grid = (w, h, cols, rows, 0, cols)
-            tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, 0, cols,
-                                        0, cols)
+            tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, 0, cols)
 
             def scan(bm, sm):
                 (bx, by), shifted = sets[bm], sets[sm]
@@ -167,23 +168,25 @@ def bench_general_widths(repeat):
     (1, 2), both sets enumerated beforehand, and strip mode's scan of the
     same cells: per call, the time, the y-steps the pair scan keeps (one
     on grids of at most 5 rows, which _grid scans as one row) and the
-    minor page faults; for strip mode the time, its column windows and
-    the faults."""
+    minor page faults; the neighbor setup of that whole-grid scan
+    (_neighbor_tables: column runs and row table), its time and faults;
+    for strip mode the time, its column windows and the faults."""
     rows = []
     for shape, a, n in scan_moduli():
         sets = K._point_sets(n, a, a - 1)
         for w in (2, 4, 8, 16):
             cols, nrows, h = K._grid(a, w, a // w, 2)
-            _, ny = K._neighbor_tables(cols, nrows, w, h, a, 1, 2, 0, cols,
-                                       0, cols)
+            _, ny = K._neighbor_tables(cols, nrows, w, h, a, 1, 2, 0, cols)
             full = timed_faults(lambda: K.hyperbola_scan(
                 n, a, a - 1, w, a // w, 1, 2, sets=sets), repeat)
+            setup = timed_faults(lambda: K._neighbor_tables(
+                cols, nrows, w, h, a, 1, 2, 0, cols), repeat)
             strip = timed_faults(lambda: _strip_scan(n, a, w, a // w, 2),
                                  repeat)
             windows = -(-cols // max(1, K._SCAN_CHUNK // w))
             rows.append((f"{shape} a={a:,} w={w}", full[0],
                          int((ny >= 0).any(axis=1).sum()), full[1],
-                         strip[0], windows, strip[1]))
+                         *setup, strip[0], windows, strip[1]))
     return rows
 
 
@@ -228,10 +231,12 @@ def print_rows(head, rows):
 
 def print_width_rows(rows):
     print(f"\n{'numpy hyperbola_scan':<34} {'time':>12} {'y-steps':>8} "
-          f"{'faults':>9} {'strip time':>12} {'windows':>8} {'faults':>9}")
-    print("-" * 98)
-    for name, t, steps, faults, ts, windows, fs in rows:
+          f"{'faults':>9} {'tables':>12} {'faults':>9} "
+          f"{'strip time':>12} {'windows':>8} {'faults':>9}")
+    print("-" * 120)
+    for name, t, steps, faults, tt, tf, ts, windows, fs in rows:
         print(f"{name:<34} {t * 1e6:>10.0f}us {steps:>8} {faults:>9.0f} "
+              f"{tt * 1e6:>10.0f}us {tf:>9.0f} "
               f"{ts * 1e6:>10.0f}us {windows:>8} {fs:>9.0f}")
 
 

@@ -41,14 +41,14 @@ the sets.
 The pair scans take their base points in any order, each with its cell
 id, and only the shifted set bucketed.  On a whole grid the neighbor
 relation is symmetric, so hyperbola_scan expands from the smaller set,
-left unbucketed, and buckets the other in one pass.  The numpy scan
-costs about one pass per candidate: shifted cells are row-major, so a
-base column's neighbor columns in one shifted row, a circular run, are
-one index range (two where the run wraps past the window's last
-column).  Each (base point, y-step) pair expands one range, in
-cache-sized blocks, and a pair's CRT value of its two x has one
-candidate value, plus a second only where the two x are equal, so one
-n % u on positive divisors rejects nearly every pair.
+left unbucketed, and buckets the other in one pass.  Shifted cells are
+row-major, so a base column's run of neighbor columns in one shifted
+row is one index range (two where the run wraps past the window's last
+column), and both scans walk those ranges.  The numpy scan costs about
+one pass per candidate: each (base point, y-step) pair expands one
+range, in cache-sized blocks, and a pair's CRT value of its two x has
+one candidate value, plus a second only where the two x are equal, so
+one n % u on positive divisors rejects nearly every pair.
 
 All kernels work in int64 (the table path's running sum of residues
 below 2*m is int32 where that fits).  Callers guarantee N < 2**63 and
@@ -63,14 +63,17 @@ admits points closer than r*cell_w.  Raw index distance <= r always
 qualifies; index distance r+1 qualifies only across the wrap seam where
 the thin truncated column eats less than a full cell of distance.
 Without the gap rule, two points within cell_w of each other (wrapped)
-can sit two index steps apart and the scan would miss them.  The rule is
-computed once, in numpy (_axis_steps), and _neighbor_tables hands its
-(step, cell) tables to whichever pair scan is bound; neither scan
-applies the rule itself.  Only the radius+1 cells at each end of an axis
-can pass the gap test, so _axis_steps evaluates it only there, at the
-seam.  Rows are the same, with one exception (_grid): a grid of at most
-2*dyc + 1 rows, all neighbours of each other, is scanned as one row of
-height a, with the same pairs, one y-step and no row sort.
+can sit two index steps apart and the scan would miss them.  Only the
+radius+1 cells at each end of an axis can pass the gap test or wrap, so
+the rule, the seam rule, is one helper (_seam_cells) evaluated on those
+cells alone, on Python ints.  _neighbor_tables hands whichever pair scan
+is bound the same (runs, ny): each base column's neighbors as one run
+of the shifted window's columns, a slice set in one numpy pass and
+patched at the seam, and a (step, row) table of rows (_axis_steps);
+neither scan applies the rule itself.  Rows are the same, with one
+exception (_grid): a grid of at most 2*dyc + 1 rows, all neighbours of
+each other, is scanned as one row of height a, with the same pairs, one
+y-step and no row sort.
 
 One driver, _scan_windows, runs the pair scan of both modes over windows
 of k whole grid columns, from the base set its caller names.
@@ -79,8 +82,8 @@ smaller set; strip mode (factor._strip_scan) takes k = _SCAN_CHUNK //
 cell_w windows from the set mod a.  A whole-grid window takes both whole
 sets of _point_sets.  A narrower one expands its base columns against
 the shifted columns from dxc + 1 before to dxc + 1 after it (wrapping mod
-cols), enumerating both by _points, and _neighbor_tables maps its columns
-into the shifted window; a whole-grid window skips that remap.  The
+cols), or against every column where that is no narrower than the grid,
+enumerating both by _points; _neighbor_tables knows both shapes.  The
 public bucket_csr and pair_scan_csr work on whole grids only, for
 callers that want the bucketed sets.
 """
@@ -113,32 +116,51 @@ def _steps(radius: int) -> list[int]:
     return sorted(range(-radius - 1, radius + 2), key=abs)
 
 
+def _seam_cells(ncells: int, cell: int, a: int, radius: int
+                ) -> list[tuple[int, bool, bool]]:
+    """The seam rule: (i, lo, hi) for each cell i at the ends of an axis,
+    lo and hi whether the steps -(radius+1) and radius+1 from i reach a
+    neighbor, that is whether the wrapped gap between the two cells is
+    below radius*cell.
+
+    Only the radius+1 cells at each end of the axis (every cell on axes
+    of at most 2*(radius+1)) have steps that wrap mod ncells or pass the
+    gap test: from any other cell a step of radius+1 spans radius whole
+    cells, either way round.  A few cells, so on Python ints.
+    """
+    r1 = radius + 1
+    ends = ([*range(ncells - r1, ncells), *range(r1)] if ncells > 2 * r1
+            else range(ncells))
+
+    def near(i, j):
+        s1, s2 = i * cell, j * cell
+        return min((s2 - min(s1 + cell, a) + 1) % a,
+                   (s1 - min(s2 + cell, a) + 1) % a) < radius * cell
+
+    return [(i, near(i, (i - r1) % ncells), near(i, (i + r1) % ncells))
+            for i in ends]
+
+
 def _axis_steps(ncells: int, cell: int, a: int, radius: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's candidate neighbors, one row per step d of _steps,
-    laid out (2*radius+3, ncells).
+    laid out (2*radius+3, ncells): the pair scans' row table.
 
     Returns (c2, keep): c2 = (ci + d) mod ncells, and keep marks the
     steps that reach a cell no earlier step reached and, when
-    |d| > radius, pass the wrapped-gap test.  Visiting smaller steps
-    first makes the kept step the nearest route.
-
-    Only the radius+1 cells at each end of the axis have steps that wrap
-    mod ncells or pass the gap test: from any other cell a step of
-    radius+1 spans radius whole cells, either way round.  So both the
-    reduction and the gap test run on those cells alone, in place.
+    |d| > radius, pass the seam rule (_seam_cells).  Visiting smaller
+    steps first makes the kept step the nearest route.  Only the cells
+    _seam_cells lists can wrap, so the reduction mod ncells runs on them.
     """
     steps = _steps(radius)
     c2 = np.add.outer(np.array(steps, dtype=np.int64),
                       np.arange(ncells, dtype=np.int64))
     r1 = radius + 1
     if ncells > 2 * r1:
-        ends = [*range(ncells - r1, ncells), *range(r1)]
         c2[:, :r1] %= ncells
         c2[:, -r1:] %= ncells
         new = [True] * len(steps)
     else:
-        ends = range(ncells)
         c2 %= ncells
         # the 2*r1 + 1 steps are distinct mod ncells on longer axes;
         # congruent ones reach the same cell from every ci
@@ -146,14 +168,9 @@ def _axis_steps(ncells: int, cell: int, a: int, radius: int
                for j, d in enumerate(steps)]
     keep = np.zeros(c2.shape, dtype=bool)
     keep[:-2] = np.array(new[:-2])[:, None]
-    # the last two rows are the steps -(radius+1), radius+1, kept from
-    # the ends where the wrapped gap between the two columns is below
-    # radius*cell; a few cells, so on Python ints
-    for j in (-2, -1):
-        for i in ends if new[j] else ():
-            s1, s2 = i * cell, (i + steps[j]) % ncells * cell
-            keep[j, i] = min((s2 - min(s1 + cell, a) + 1) % a,
-                             (s1 - min(s2 + cell, a) + 1) % a) < radius * cell
+    # the last two rows are the steps -(radius+1), radius+1
+    for i, lo, hi in _seam_cells(ncells, cell, a, radius):
+        keep[-2, i], keep[-1, i] = lo and new[-2], hi and new[-1]
     return c2, keep
 
 
@@ -187,29 +204,50 @@ def _grid(a: int, cell_w: int, cell_h: int, dyc: int) -> tuple[int, int, int]:
     return (cols, 1, a) if rows <= 2 * dyc + 1 else (cols, rows, cell_h)
 
 
-def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, bc0, bk, sc0, sk
+def _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, c0, bk
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbor tables both pair scans read, laid out (step, cell):
-    nx[:, i] lists the shifted-window columns next to base-window column
-    i (grid column (bc0 + i) mod cols, against the sk columns from sc0),
-    ny[:, j] the rows next to row j; -1 where a step adds no cell or
-    leaves the shifted window.  Whole-grid windows (bc0 = sc0 = 0,
-    bk = sk = cols) map every column onto itself and skip the remap."""
-    nx, keep = _axis_steps(cols, cell_w, a, dxc)
-    nx[~keep] = -1
-    # square grids share one table
-    if (rows, cell_h, dyc) == (cols, cell_w, dxc):
-        ny = nx
-    else:
-        ny, keep = _axis_steps(rows, cell_h, a, dyc)
-        ny[~keep] = -1
-    if (bc0, bk, sc0, sk) == (0, cols, 0, cols):
-        return nx, ny
-    # columns of the base window, as columns of the shifted window
-    nx = np.take(nx, (bc0 + np.arange(bk)) % cols, axis=1)
-    win = (nx - sc0) % cols
-    win[(nx < 0) | (win >= sk)] = -1
-    return win, ny
+    """What both pair scans read for the base window of bk grid columns
+    from c0 (c0 + bk <= cols), against the shifted window _scan_windows
+    forms: sk = min(bk + 2*dxc + 2, cols) columns, from dxc + 1 before
+    the base window (wrapping mod cols) or, where that is no narrower
+    than the grid, every column from 0.
+
+    Returns (runs, ny).  runs holds each base column's shifted-window
+    neighbor columns as (lo, end) rows of length 2*bk, int32: column i's
+    run is [lo[i], end[i]), and where it wraps past column sk - 1 it goes
+    on in [lo[bk + i], end[bk + i]) = [0, end2); every other range is
+    empty.  ny is the row table of _axis_steps, (step, row), -1 where a
+    step adds no row.
+
+    A column's steps -dxc..dxc are consecutive, so its neighbors are one
+    arc of the grid's circle: base column i, grid column c0 + i, is
+    shifted column i + off, with off = dxc + 1 in a narrow window and
+    c0 in a whole one, and its run is [i + off - dxc, i + off + dxc + 1).
+    Only the columns _seam_cells lists can take a step +-(dxc + 1) or
+    wrap, so only they are patched, on Python ints; an arc of sk columns
+    or more is the whole window [0, sk)."""
+    sk = min(bk + 2 * dxc + 2, cols)
+    off = dxc + 1 if sk < cols else c0
+    # window columns fit int32, which halves these full-width arrays
+    runs = np.zeros((2, 2 * bk), dtype=np.int32)
+    runs[0, :bk] = np.arange(off - dxc, off - dxc + bk, dtype=np.int32)
+    np.add(runs[0, :bk], 2 * dxc + 1, out=runs[1, :bk])
+    for g, lo, hi in _seam_cells(cols, cell_w, a, dxc):
+        i = g - c0
+        if not 0 <= i < bk:
+            continue
+        start, stop, wrap = i + off - dxc - lo, i + off + dxc + 1 + hi, 0
+        if stop - start >= sk:
+            start, stop = 0, sk
+        elif start < 0:
+            start, stop, wrap = start + sk, sk, stop
+        elif stop > sk:
+            stop, wrap = sk, stop - sk
+        runs[:, i] = start, stop
+        runs[1, bk + i] = wrap
+    ny, keep = _axis_steps(rows, cell_h, a, dyc)
+    ny[~keep] = -1
+    return runs, ny
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +312,12 @@ def _bucket_csr_loop(xs, ys, cell_w, cell_h, cols, rows, c0, k):
     return ox, oy, starts
 
 
-def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
-    """Check every base/shifted pair in the neighbor cells the tables
-    list (see _neighbor_tables): base point t, in base-window cell
-    bcell[t] = row*bk + col, meets the points of the shifted cells its
-    row and column steps reach.  Base points come in any order.
+def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, runs, ny, bm, n, sm):
+    """Check every base/shifted pair in the neighbor cells that
+    _neighbor_tables lists: base point t, in base-window cell
+    bcell[t] = row*bk + col, meets the shifted points of its column's
+    run and wrap part, one index range each, in every row its row steps
+    reach, as the numpy scan does.  Base points come in any order.
 
     The two sets are the solutions mod a and mod a - 1, bm and sm the
     moduli of the base and the shifted points in either order, so which
@@ -287,7 +326,7 @@ def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
     (0, 0, pairs) when none verifies.
     """
     rows = ny.shape[1]
-    bk = nx.shape[1]
+    bk = runs.shape[1] // 2
     sk = (sstarts.size - 1) // rows
     a, m2 = max(bm, sm), min(bm, sm)
     base_a = bm > sm
@@ -301,12 +340,9 @@ def _pair_scan_csr_loop(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
             nj = ny[oj, cj]
             if nj < 0:
                 continue
-            for oi in range(nx.shape[0]):
-                si = nx[oi, ci]
-                if si < 0:
-                    continue
-                nid = nj * sk + si
-                for s in range(sstarts[nid], sstarts[nid + 1]):
+            for part in (ci, bk + ci):
+                for s in range(sstarts[nj * sk + runs[0, part]],
+                               sstarts[nj * sk + runs[1, part]]):
                     pairs += 1
                     # (x, y) of the point mod a, then of the point mod m2
                     xa, ya, xm, ym = ((bx[t], by[t], sx[s], sy[s]) if base_a
@@ -430,40 +466,6 @@ def _bucket_csr_np(xs, ys, cell_w, cell_h, cols, rows, c0, k):
 _SCAN_CHUNK = 1 << 18
 
 
-def _column_runs(nx: np.ndarray, sk: int) -> np.ndarray:
-    """Each base column's kept shifted-window columns, read off the nx
-    table as one circular run mod sk, as runs = (lo, end) rows of length
-    2*bk: column i's run is [lo[i], end[i]), followed where it wraps past
-    column sk - 1 by [lo[bk + i], end[bk + i]) = [0, end2); every other
-    range is empty.
-
-    A column's steps are consecutive offsets, so its neighbors form one
-    arc of the grid's circle, and the part of an arc inside a window of
-    columns is one run mod sk (tests/test_grid.py holds the tables to
-    this)."""
-    bk = nx.shape[1]
-    # window columns fit int32, which halves these full-width arrays
-    runs = np.zeros((2, 2 * bk), dtype=np.int32)
-    lo, end = runs
-    # as uint64 the -1 entries are the largest values, so never the min
-    np.maximum(nx.view(np.uint64).min(axis=0).view(np.int64), 0,
-               out=lo[:bk], casting="unsafe")
-    np.add(nx.max(axis=0), 1, out=end[:bk], casting="unsafe")
-    # a run holding columns 0 and sk - 1 but not all sk wraps, and
-    # starts right after the columns it lacks: only the few columns at
-    # the seam, so this runs on Python ints
-    seam = (end[:bk] - lo[:bk] == sk).nonzero()[0]
-    for c, col in zip(seam.tolist(), nx[:, seam].T.tolist()):
-        kept = {v for v in col if v >= 0}
-        if len(kept) < sk:
-            end2 = 0
-            while end2 in kept:
-                end2 += 1
-            lo[c] = end2 + sk - len(kept)
-            end[bk + c] = end2
-    return runs
-
-
 def _verified_split(by, tb, xc, s0, seg, sxc, sy, bm, n, sm):
     """(split or None, pairs) over the shifted ranges [s0, s0 + seg),
     laid out (y-step, base point): range j belongs to base point
@@ -526,23 +528,22 @@ def _verified_split(by, tb, xc, s0, seg, sxc, sy, bm, n, sm):
     return best, total
 
 
-def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, nx, ny, bm, n, sm):
+def _pair_scan_csr_np(bx, by, bcell, sx, sy, sstarts, runs, ny, bm, n, sm):
     """Same contract as _pair_scan_csr_loop, by contiguous ranges.
 
-    Shifted cells are row-major, so a base column's kept neighbor columns
-    in one shifted row, a circular run (_column_runs), are one index
-    range of sx, sy, or two where the run wraps.  So each (base point,
-    y-step) pair expands one range, and a second one for the points of
-    wrapping columns, handled as points of a virtual column bk + ci.
-    Base points are taken in input order, _SCAN_CHUNK >> 2 (point,
-    y-step) pairs at a time, and _verified_split checks the pairs of the
-    ranges.  y-steps no row keeps are dropped.
+    Shifted cells are row-major, so a base column's run of neighbor
+    columns (_neighbor_tables) in one shifted row is one index range of
+    sx, sy, and its wrap part a second.  So each (base point, y-step)
+    pair expands one range, and a second one for the points of wrapping
+    columns, handled as points of a virtual column bk + ci.  Base points
+    are taken in input order, _SCAN_CHUNK >> 2 (point, y-step) pairs at
+    a time, and _verified_split checks the pairs of the ranges.  y-steps
+    no row keeps are dropped.
     """
     rows = ny.shape[1]
-    bk = nx.shape[1]
+    bk = runs.shape[1] // 2
     sk = (sstarts.size - 1) // rows
     a, m2 = max(bm, sm), min(bm, sm)
-    runs = _column_runs(nx, sk)
     ny = ny[(ny >= 0).any(axis=1)]
     # row offsets into sstarts; a -1 step's lands past the end, which
     # np.take clips to the last entry, an empty range
@@ -785,8 +786,8 @@ def pair_scan_csr(bx, by, bstarts, sx, sy, sstarts, cols, rows,
     bcell = np.repeat(np.arange(bstarts.size - 1), np.diff(bstarts))
     u, v, pairs = _pair_scan(
         bx, by, bcell, sx, sy, sstarts,
-        *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                          0, cols, 0, cols), a, n, m2)
+        *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc, 0, cols),
+        a, n, m2)
     return int(u), int(v), int(pairs)
 
 
@@ -802,9 +803,11 @@ def _scan_windows(n: int, bm: int, sm: int, cell_w: int, cell_h: int,
     A window of the whole grid (k >= cols) takes both whole sets: sets,
     the (bx, by, sx, sy) of _point_sets mod a and m2, or that call.  A
     narrower one meets base columns [c0, c0 + bk) with shifted columns
-    [c0 - r, c0 + bk + r), wrapping mod cols (or all columns), r = dxc +
-    1: they hold every neighbor under the gap rule.  Each enumerated by
-    _points, they hold about k*cell_w points of each set at once.  Goes
+    [c0 - r, c0 + bk + r), wrapping mod cols (or all columns from 0 where
+    that is no narrower than the grid), r = dxc + 1: they hold every
+    neighbor under the gap rule, and _neighbor_tables forms the same
+    window from (c0, bk).  Each enumerated by _points, they hold about
+    k*cell_w points of each set at once.  Goes
     through the private kernels only, so that a caller wrapping the
     public ones sees no call of them."""
     a, m2 = max(bm, sm), min(bm, sm)
@@ -829,7 +832,7 @@ def _scan_windows(n: int, bm: int, sm: int, cell_w: int, cell_h: int,
             bx, by, bcell,
             *_bucket(sx, sy, cell_w, cell_h, cols, rows, s0, sk),
             *_neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                              c0, bk, s0, sk), bm, n, sm)
+                              c0, bk), bm, n, sm)
         points, pairs = points + bx.size + sx.size, pairs + int(got)
         found += [(int(u), int(v))] if u else []
     return (*min(found, default=(0, 0)), points, pairs)

@@ -1,16 +1,18 @@
 """The cell grid over the a-by-a square: bucketing (_kernels.bucket_csr),
 the neighbor cells and wrap flags of _kernels.axis_neighbor_table, the
-window tables of _kernels._neighbor_tables, and the neighbor pairs of the
-reference in oracle.py."""
+column runs and row tables of _kernels._neighbor_tables on the scan
+driver's windows, and the neighbor pairs of the reference in oracle.py."""
 
 import random
+import tracemalloc
 
 import numpy as np
 
-from hideseek._kernels import (_column_runs, _neighbor_tables,
-                               axis_neighbor_table, bucket_csr)
+from hideseek._kernels import (_grid, _neighbor_tables, axis_neighbor_table,
+                               bucket_csr)
 from hideseek.solutions import solve_all
 from oracle import axis_neighbors, neighbor_pairs
+from util import driver_window, shifted_window
 
 
 def cells_of(pts, a, w, h):
@@ -31,44 +33,31 @@ def cells_of(pts, a, w, h):
 
 def check_axis(ncells, cell, a, radius, cis=None):
     """axis_neighbor_table lists the oracle's neighbors of each cell in
-    cis (default all), each once, and the whole-grid column table forms
-    one run per column."""
+    cis (default all), each once, and so do the whole-grid column runs
+    of _neighbor_tables."""
     nbr, _ = axis_neighbor_table(ncells, cell, a, radius)
     want = axis_neighbors(ncells, cell, a, radius)
     for ci in range(ncells) if cis is None else cis:
         got = [c for c in nbr[ci].tolist() if c >= 0]
         assert len(got) == len(set(got)) and set(got) == want[ci], (
             ncells, cell, a, radius, ci)
-    nx, _ = _neighbor_tables(ncells, 1, cell, a, a, radius, 1,
-                             0, ncells, 0, ncells)
-    check_runs(nx, ncells, cis)
+    runs, _ = _neighbor_tables(ncells, 1, cell, a, a, radius, 1, 0, ncells)
+    check_runs(runs, want, radius, 0, cis)
 
 
-def circular_run(cols, sk):
-    """(start, length) when the set cols is one run of consecutive
-    columns mod sk, else None."""
-    if len(cols) in (0, sk):
-        return 0, len(cols)
-    starts = [c for c in cols if (c - 1) % sk not in cols]
-    if len(starts) == 1 and cols == {(starts[0] + j) % sk
-                                     for j in range(len(cols))}:
-        return starts[0], len(cols)
-    return None
-
-
-def check_runs(nx, sk, cis=None):
-    """Each listed column's kept columns in nx (default all) form one
-    circular run mod sk, and _column_runs reads off exactly that run:
-    [lo, end), then [0, end2) in the column's second range where the
-    run wraps past sk - 1."""
-    bk = nx.shape[1]
-    lo, end = _column_runs(nx, sk)
+def check_runs(runs, col_nbrs, dxc, c0, cis=None):
+    """Base column i's run and wrap part in runs, two disjoint ranges,
+    list the oracle's neighbors col_nbrs of grid column c0 + i, each once,
+    as columns of the driver's shifted window (util.shifted_window),
+    which holds them all; for each i in cis (default all)."""
+    cols, bk = len(col_nbrs), runs.shape[1] // 2
+    s0, sk = shifted_window(cols, dxc, c0, bk)
+    lo, end = runs.tolist()
     for i in range(bk) if cis is None else cis:
-        kept = {c for c in nx[:, i].tolist() if c >= 0}
-        assert circular_run(kept, sk) is not None, (sk, i, sorted(kept))
-        assert lo[bk + i] == 0 and (end[bk + i] == 0 or end[i] == sk)
-        got = set(range(lo[i], end[i])) | set(range(end[bk + i]))
-        assert got == kept, (sk, i, sorted(kept), lo[i], end[i], end[bk + i])
+        want = sorted((c - s0) % cols for c in col_nbrs[c0 + i])
+        got = sorted([*range(lo[i], end[i]), *range(lo[bk + i], end[bk + i])])
+        assert want[-1] < sk and got == want, (
+            cols, dxc, c0, bk, i, lo[i], end[i], lo[bk + i], end[bk + i])
 
 
 def wrapped(ncells, cell, a, radius, ci, ni):
@@ -140,21 +129,47 @@ def test_axis_neighbor_table_long_axis():
                                     *rng.sample(range(4, ncells - 4), 500)])
 
 
+def test_neighbor_tables_peak_memory():
+    """The general variant's first width at N ~ 1e16: a = 215443, w = 2,
+    one row after _grid, 107,722 columns.  _neighbor_tables writes the
+    column runs in place, so its traced peak stays below 1.5 times its
+    runs array (1.64 MiB), and the runs match the oracle at the ends."""
+    a, w = 215443, 2
+    cols, rows, h = _grid(a, w, a // w, 2)
+    assert (cols, rows) == (107722, 1)
+    tracemalloc.start()
+    try:
+        runs, _ = _neighbor_tables(cols, rows, w, h, a, 1, 2, 0, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs.shape == (2, 2 * cols) and peak < 1.5 * runs.nbytes, peak
+    check_runs(runs, axis_neighbors(cols, w, a, 1), 1, 0,
+               [*range(4), *range(cols - 4, cols)])
+
+
 def test_neighbor_tables_match_oracle():
-    """The tables both pair scans read: column i of nx holds the oracle's
-    neighbors of grid column (bc0 + i) mod cols that fall in the sk
-    shifted columns from sc0, as shifted-window columns, and column j of
-    ny the oracle's neighbors of row j; each once, -1 elsewhere; every
-    column's shifted columns form one circular run.  Random square and
-    rectangular grids, wrapping windows and whole-grid ones, which skip
-    the remap."""
+    """The column runs and row table both pair scans read, on windows of
+    the scan driver's shapes: each base column's runs hold the oracle's
+    neighbors in the shifted window (check_runs), and column j of ny the
+    oracle's neighbors of row j, each once, -1 elsewhere.  First every
+    window (c0, bk), c0 + bk <= cols, of every axis of 1..16 columns of
+    width 1..6 with every truncation of the last one, at dxc 1 and 2;
+    then random square and rectangular grids with random windows, a
+    third of them covering the grid from c0 > 0, so that runs wrap."""
+    for cols in range(1, 17):
+        for cell in range(1, 7):
+            for last in range(1, cell + 1):
+                a = (cols - 1) * cell + last
+                for dxc in (1, 2):
+                    col_nbrs = axis_neighbors(cols, cell, a, dxc)
+                    for c0 in range(cols):
+                        for bk in range(1, cols - c0 + 1):
+                            runs, _ = _neighbor_tables(cols, 1, cell, a, a,
+                                                       dxc, 1, c0, bk)
+                            check_runs(runs, col_nbrs, dxc, c0)
+
     rng = random.Random(8)
-
-    def cells(col):
-        got = [c for c in col.tolist() if c >= 0]
-        assert len(got) == len(set(got))
-        return set(got)
-
     for trial in range(200):
         cell_w = rng.randrange(1, 12)
         cols = rng.randrange(1, 30)
@@ -162,23 +177,15 @@ def test_neighbor_tables_match_oracle():
         cell_h = cell_w if trial % 2 else rng.randrange(1, a + 1)
         rows = -(-a // cell_h)
         dxc, dyc = rng.choice(((1, 1), (1, 2)))
-        bc0, bk = rng.randrange(cols), rng.randrange(1, cols + 1)
-        sc0 = rng.randrange(cols)
-        sk = cols if trial % 3 == 0 else rng.randrange(1, cols + 1)
-        if trial % 5 == 4:  # the whole-grid window of full mode
-            bc0, bk, sc0, sk = 0, cols, 0, cols
-        nx, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
-                                  bc0, bk, sc0, sk)
-        assert nx.shape[1] == bk and ny.shape[1] == rows
-        col_nbrs = axis_neighbors(cols, cell_w, a, dxc)
-        for i in range(bk):
-            want = {(c - sc0) % cols for c in col_nbrs[(bc0 + i) % cols]}
-            assert cells(nx[:, i]) == {c for c in want if c < sk}, (
-                cols, cell_w, a, dxc, bc0, bk, sc0, sk, i)
-        check_runs(nx, sk)
+        c0, bk = (0, cols) if trial % 5 == 4 else driver_window(rng, cols, dxc)
+        runs, ny = _neighbor_tables(cols, rows, cell_w, cell_h, a, dxc, dyc,
+                                    c0, bk)
+        assert runs.shape == (2, 2 * bk) and ny.shape[1] == rows
+        check_runs(runs, axis_neighbors(cols, cell_w, a, dxc), dxc, c0)
         row_nbrs = axis_neighbors(rows, cell_h, a, dyc)
         for j in range(rows):
-            assert cells(ny[:, j]) == row_nbrs[j], (rows, cell_h, a, dyc, j)
+            got = [c for c in ny[:, j].tolist() if c >= 0]
+            assert sorted(got) == sorted(row_nbrs[j]), (rows, cell_h, a, dyc, j)
 
 
 def test_neighbor_pairs_single_cell():

@@ -14,6 +14,7 @@ import pytest
 from hideseek import _kernels as K
 from hideseek.arith import prime_factors
 from oracle import check_candidate, neighbor_pairs, solutions_by_pow
+from util import driver_window, shifted_window
 
 
 def test_backend_flag_reported():
@@ -343,32 +344,32 @@ def test_bucket_csr_sorted_input_row_widths():
                 _same_csr(xs[order], ys[order], w, 1, cols, rows, c0, k)
 
 
-def _scan_both_ways(n, a, w, h, dxc, dyc, bwin, swin, tables_for):
+def _scan_both_ways(n, a, w, h, dxc, dyc, c0, bk):
     """The loop and numpy pair scans with the base mod a and with the
-    base mod a - 1: the base points of column window bwin = (c0, k) in
-    enumeration order with their cell ids, the shifted ones of swin
-    bucketed by each scan's own twin.  Asserts the twins agree; returns
-    {base modulus: (u, v, pairs)}."""
+    base mod a - 1, on the driver's window shape: the base points of
+    columns [c0, c0 + bk) in enumeration order with their cell ids, the
+    shifted ones of util.shifted_window bucketed by each scan's own twin.
+    Asserts the twins agree; returns {base modulus: (u, v, pairs)}."""
     cols, rows = -(-a // w), -(-a // h)
+    s0, sk = shifted_window(cols, dxc, c0, bk)
     sets = {m: K.hyperbola_points(n, m) for m in (a, a - 1)}
+    tables = K._neighbor_tables(cols, rows, w, h, a, dxc, dyc, c0, bk)
     got = {}
     for bm, sm in ((a, a - 1), (a - 1, a)):
-        (bc0, bk), (sc0, sk) = bwin, swin
         bx, by = sets[bm]
-        col = (bx // w - bc0) % cols
+        col = (bx // w - c0) % cols
         inside = col < bk
         bx, by = bx[inside], by[inside]
         bcell = by // h * bk + col[inside]
         sx, sy = sets[sm]
-        inside = (sx // w - sc0) % cols < sk
+        inside = (sx // w - s0) % cols < sk
         sx, sy = sx[inside], sy[inside]
-        tables = tables_for(bc0, bk, sc0, sk)
         res = [tuple(int(x) for x in scan(
-            bx, by, bcell, *bucket(sx, sy, w, h, cols, rows, sc0, sk),
+            bx, by, bcell, *bucket(sx, sy, w, h, cols, rows, s0, sk),
             *tables, bm, n, sm))
             for scan, bucket in ((K._pair_scan_csr_loop, K._bucket_csr_loop),
                                  (K._pair_scan_csr_np, K._bucket_csr_np))]
-        assert res[0] == res[1], (n, a, w, h, bm, bwin, swin)
+        assert res[0] == res[1], (n, a, w, h, bm, c0, bk)
         got[bm] = res[0]
     return got
 
@@ -382,11 +383,7 @@ def test_hyperbola_scan_backends_agree():
     from util import arbitrary_semiprime, balanced_semiprime
 
     def both(n, a, w, h, dxc, dyc):
-        cols, rows = -(-a // w), -(-a // h)
-        got = _scan_both_ways(
-            n, a, w, h, dxc, dyc, (0, cols), (0, cols),
-            lambda *win: K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
-                                            *win))
+        got = _scan_both_ways(n, a, w, h, dxc, dyc, 0, -(-a // w))
         u, v, points, pairs = K.hyperbola_scan(n, a, a - 1, w, h, dxc, dyc)
         assert got[a] == got[a - 1] == (u, v, pairs), (n, a, w, h)
         assert points == sum(K.hyperbola_points(n, m)[0].size
@@ -412,9 +409,10 @@ def test_hyperbola_scan_backends_agree():
 
 
 def test_windowed_scan_backends_agree():
-    """Over column windows, wrapping ones included, with the base mod a
-    and with the base mod a - 1: the numpy kernels equal the loop
-    kernels, both in the pair scan and in bucketing a window."""
+    """Over column windows of the driver's shapes, covering ones from
+    c0 > 0 included, with the base mod a and with the base mod a - 1: the
+    numpy pair scan equals the loop scan.  Bucketing, which takes any
+    window, wrapping ones included, equals its loop twin there."""
     rng = random.Random(48)
     from hideseek.arith import ceil_cbrt
     from util import arbitrary_semiprime
@@ -426,13 +424,9 @@ def test_windowed_scan_backends_agree():
         h = max(1, a // w)
         cols, rows = -(-a // w), -(-a // h)
         dxc, dyc = rng.choice(((1, 1), (1, 2)))
-        bwin, swin = [(rng.randrange(cols), rng.randrange(1, cols + 1))
-                      for _ in range(2)]
-        _scan_both_ways(
-            n, a, w, h, dxc, dyc, bwin, swin,
-            lambda *win: K._neighbor_tables(cols, rows, w, h, a, dxc, dyc,
-                                            *win))
-        for m, (c0, k) in ((a, bwin), (a - 1, swin)):
+        _scan_both_ways(n, a, w, h, dxc, dyc, *driver_window(rng, cols, dxc))
+        for m in (a, a - 1):
+            c0, k = rng.randrange(cols), rng.randrange(1, cols + 1)
             xs, ys = K.hyperbola_points(n, m)
             inside = (xs // w - c0) % cols < k
             for x, y in zip(K._bucket_csr_np(xs[inside], ys[inside], w, h,
@@ -442,19 +436,20 @@ def test_windowed_scan_backends_agree():
                 assert np.array_equal(x, y)
 
 
-def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0, dyc=2):
+def _three_scans(n, a, base, shifted, w, h, c0=0, bk=None, dyc=2):
     """The numpy and loop pair scans on a grid of w x h cells at radii
     (1, dyc), of base (points mod a) against shifted (points mod a - 1) and
-    again with the roles swapped: each time the base points in their
-    given order over bk columns from bc0 (default all), with their cell
-    ids, and the shifted points bucketed over every column from sc0.
-    Asserts that both scans equal the oracle's (split or (0, 0), pairs)
-    over the same pairs each way, and, on a whole base window, that the
-    two ways agree; returns the result with the base mod a."""
+    again with the roles swapped: each time the base points of the bk
+    columns from c0 (default all) in their given order, with their cell
+    ids, and the shifted points of the driver's shifted window
+    (util.shifted_window) bucketed.  Asserts that both scans equal the
+    oracle's (split or (0, 0), pairs) over the base points against every
+    shifted point, and, on a whole base window, that the two ways agree;
+    returns the result with the base mod a."""
     cols, rows = -(-a // w), -(-a // h)
     bk = cols if bk is None else bk
-    tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, bc0, bk, sc0,
-                                cols)
+    s0, sk = shifted_window(cols, 1, c0, bk)
+    tables = K._neighbor_tables(cols, rows, w, h, a, 1, dyc, c0, bk)
 
     def arrays(pts):
         return (np.array([p[i] for p in pts], dtype=np.int64) for i in (0, 1))
@@ -462,11 +457,12 @@ def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0, dyc=2):
     got = {}
     for bm, sm, bpts, spts in ((a, a - 1, base, shifted),
                                (a - 1, a, shifted, base)):
-        bpts = [p for p in bpts if (p[0] // w - bc0) % cols < bk]
+        bpts = [p for p in bpts if (p[0] // w - c0) % cols < bk]
         bx, by = arrays(bpts)
-        bcell = by // h * bk + (bx // w - bc0) % cols
+        bcell = by // h * bk + (bx // w - c0) % cols
+        swin = [p for p in spts if (p[0] // w - s0) % cols < sk]
         args = (bx, by, bcell,
-                *K._bucket_csr_np(*arrays(spts), w, h, cols, rows, sc0, cols),
+                *K._bucket_csr_np(*arrays(swin), w, h, cols, rows, s0, sk),
                 *tables, bm, n, sm)
         res = tuple(int(x) for x in K._pair_scan_csr_np(*args))
         assert res == tuple(int(x) for x in K._pair_scan_csr_loop(*args))
@@ -477,19 +473,20 @@ def _three_scans(n, a, base, shifted, w, h, bc0=0, bk=None, sc0=0, dyc=2):
             if f is not None:
                 splits.add((f.u, f.v))
         assert res == (*min(splits, default=(0, 0)), pairs), (
-            n, a, w, bm, bc0, bk, sc0)
+            n, a, w, bm, c0, bk)
         got[bm] = res
     if bk == cols:
-        assert got[a] == got[a - 1], (n, a, w, bc0, sc0)
+        assert got[a] == got[a - 1], (n, a, w)
     return got[a]
 
 
 def test_wrapping_runs_match_oracle():
     """Windows where column runs wrap past the last shifted column: the
     whole grid, whose columns 0 and cols - 1 reach across the seam, and
-    a whole-grid shifted window from sc0 != 0 met by base windows from
-    bc0 != 0, some holding columns cols - 1 and 0.  The numpy scan, the
-    loop scan and the oracle agree on split and pairs."""
+    windows covering the grid from c0 > 0 up to its last column; and
+    narrow windows at either end of the grid, whose seam steps stay
+    inside the window.  The numpy scan, the loop scan and the
+    oracle agree on split and pairs."""
     rng = random.Random(55)
     from hideseek.arith import ceil_cbrt
     from util import arbitrary_semiprime
@@ -503,19 +500,19 @@ def test_wrapping_runs_match_oracle():
         base = list(zip(*(c.tolist() for c in K.hyperbola_points(n, a))))
         shifted = list(zip(*(c.tolist()
                              for c in K.hyperbola_points(n, a - 1))))
-        bk = rng.randrange(2, cols + 1) if cols > 1 else 1
-        if trial % 3 == 0:  # the whole grid
-            bc0, bk, sc0 = 0, cols, 0
-        elif trial % 3 == 1:  # base columns cols - 1, 0, ...
-            bc0, sc0 = cols - 1, 0
-        else:  # base columns holding grid column sc0 != 0
-            sc0 = rng.randrange(1, cols) if cols > 1 else 0
-            bc0 = (sc0 - rng.randrange(bk)) % cols
-        nx, _ = K._neighbor_tables(cols, 1, w, a, a, 1, 1, bc0, bk, sc0,
-                                   cols)
-        if cols > 5:  # shorter axes may keep every column
-            assert K._column_runs(nx, cols)[1][bk:].any(), (a, w, bc0, sc0)
-        _three_scans(n, a, base, shifted, w, h, bc0, bk, sc0)
+        if trial % 3 == 0 or cols < 2:  # the whole grid
+            c0, bk = 0, cols
+        elif trial % 3 == 1:  # covering from c0 > 0
+            bk = rng.randrange(max(1, cols - 4), cols)
+            c0 = cols - bk
+        else:  # a narrow window at either end, where cols allows one
+            bk = rng.randrange(1, max(2, cols - 4))
+            c0 = rng.choice((0, cols - bk))
+        runs, _ = K._neighbor_tables(cols, 1, w, a, a, 1, 1, c0, bk)
+        if shifted_window(cols, 1, c0, bk)[1] == cols and cols > 5:
+            # shorter axes may keep every column
+            assert runs[1, bk:].any(), (a, w, c0, bk)
+        _three_scans(n, a, base, shifted, w, h, c0, bk)
 
 
 @pytest.mark.parametrize("dyc", [1, 2])
@@ -621,13 +618,12 @@ def test_pair_scan_chunk_budget(monkeypatch):
         bx, by = K.hyperbola_points(n, a)
         sx, sy, sst = K._bucket_csr_np(*K.hyperbola_points(n, a - 1), w, h,
                                        cols, rows, 0, cols)
-        nx, ny = K._neighbor_tables(cols, rows, w, h, a, 1, 2, 0, cols,
-                                    0, cols)
+        runs, ny = K._neighbor_tables(cols, rows, w, h, a, 1, 2, 0, cols)
         monkeypatch.setattr(K, "_SCAN_CHUNK", chunk)
         tracemalloc.start()
         try:
             got = K._pair_scan_csr_np(bx, by, by // h * cols + bx // w, sx,
-                                      sy, sst, nx, ny, a, n, a - 1)
+                                      sy, sst, runs, ny, a, n, a - 1)
             return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -48,3 +48,23 @@ def smallest_factor_sieve(limit: int) -> np.ndarray:
     idx = np.arange(limit + 1)
     spf[spf == 0] = idx[spf == 0]
     return spf
+
+
+def shifted_window(cols: int, dxc: int, c0: int, bk: int) -> tuple[int, int]:
+    """(s0, sk): the shifted columns the scan driver meets the base
+    columns [c0, c0 + bk) with, dxc + 1 more on each side from s0
+    (wrapping mod cols), or every column from 0 where that is no
+    narrower than the grid."""
+    sk = min(bk + 2 * dxc + 2, cols)
+    return ((c0 - dxc - 1) % cols if sk < cols else 0), sk
+
+
+def driver_window(rng: random.Random, cols: int, dxc: int) -> tuple[int, int]:
+    """A random base window (c0, bk) of the driver's shapes, c0 + bk <=
+    cols; about a third of them, where cols > 1, cover the grid from
+    c0 > 0 (shifted_window gives every column)."""
+    if cols > 1 and rng.randrange(3) == 0:
+        bk = rng.randrange(max(1, cols - 2 * dxc - 2), cols)
+        return rng.randrange(1, cols - bk + 1), bk
+    c0 = rng.randrange(cols)
+    return c0, rng.randrange(1, cols - c0 + 1)
