@@ -33,6 +33,13 @@ numpy: the units and one batch inversion (_inverses_for_np), against the
 prime-power inverse tables (_table_points), for m prime, 2p and smooth
 near 2**16, 2**18 and 2**20.
 
+The fifth table times the moments suite's two full-torus routines,
+second_moment_direct's pair count and second_moment_spectral, at
+a = 2**10, 2**11 and 4093 on cells of side about a**0.5, and the
+fundamental-square count at a = 2p near 2**20 on cells of side isqrt(a):
+per call, the time, the minor page faults (the malloc settings left as
+they are) and the tracemalloc peak.
+
 Usage: python benchmarks/compare_backends.py [--repeat K]
 """
 
@@ -41,11 +48,13 @@ import random
 import resource
 import statistics
 import time
-from math import isqrt
+import tracemalloc
+from math import gcd, isqrt
 
 import numpy as np
 
 from hideseek import _kernels as K
+from hideseek import moments as M
 from hideseek.arith import ceil_cbrt, prime_factors
 from hideseek.factor import _strip_scan, is_probable_prime
 
@@ -220,6 +229,39 @@ def bench_enumeration(repeat):
     return rows
 
 
+def traced_peak(fn):
+    """tracemalloc's peak over one call of fn, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bench_moments(repeat):
+    """(name, time, faults per call, tracemalloc peak) of the full-torus
+    direct count and the spectral sum on cells of the least side at or
+    above isqrt(a) that is prime to a, and of the fundamental-square
+    count at a = 2p, p the least prime above 2**19, as the moments
+    workload draws a with phi(a)/a near 1/2."""
+    n = 123457
+    calls = []
+    for a in (1 << 10, 1 << 11, 4093):
+        s = next(s for s in range(isqrt(a), a) if gcd(s, a) == 1)
+        calls.append((f"torus direct a={a:,} side {s}",
+                      lambda a=a, s=s: M.second_moment_direct(
+                          n, a, s, s, M.MomentDomain.FULL_TORUS_Q2)))
+        calls.append((f"spectral a={a:,} side {s}",
+                      lambda a=a, s=s: M.second_moment_spectral(n, a, s, s)))
+    a = 2 * next(p for p in range((1 << 19) + 1, 1 << 20, 2)
+                 if is_probable_prime(p))
+    calls.append((f"fundamental square a={a:,} side {isqrt(a)}",
+                  lambda: M.second_moment_direct(n, a, isqrt(a), isqrt(a))))
+    return [(name, *timed_faults(fn, repeat), traced_peak(fn))
+            for name, fn in calls]
+
+
 def print_rows(head, rows):
     print(f"\n{head[0]:<34} {head[1]:>12} {head[2]:>12} {'speedup':>9}")
     print("-" * 69)
@@ -240,6 +282,14 @@ def print_width_rows(rows):
               f"{ts * 1e6:>10.0f}us {windows:>8} {fs:>9.0f}")
 
 
+def print_moment_rows(rows):
+    print(f"\n{'moments':<44} {'time':>12} {'faults':>9} {'peak':>10}")
+    print("-" * 78)
+    for name, t, faults, peak in rows:
+        print(f"{name:<44} {t * 1e6:>10.0f}us {faults:>9.0f} "
+              f"{peak / 2 ** 20:>7.2f}MiB")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=7)
@@ -258,6 +308,7 @@ def main():
     print_rows(("numpy bucketing", "two sorts", "one pass"), buckets)
     print_width_rows(bench_general_widths(args.repeat))
     print_rows(("enumeration", "batch", "tables"), bench_enumeration(args.repeat))
+    print_moment_rows(bench_moments(args.repeat))
 
 if __name__ == "__main__":
     main()

@@ -20,8 +20,9 @@ follows from S(g*u, n) = S(g, n*u) (substitute x -> x*ubar).  All of it
 runs in double precision; terms have unit modulus, so the accumulated
 error stays far below the 1e-6 tolerances used throughout.
 
-The torus second moment counts every wrapped cell at once with one 2-D
-prefix sum, and a deviation scan enumerates the solutions once and
+The torus second moment counts pairs of solutions, each weighted by the
+wrapped cells that hold both, and the spectral sum runs over half the
+(m, k) plane.  A deviation scan enumerates the solutions once and
 counts each rectangle on the slice of its x range.
 """
 
@@ -59,8 +60,10 @@ __all__ = [
 # Full a x a tables, spectral sums and torus scans take O(a^2) work and
 # the tables O(a^2) doubles; keep desk-scale.
 _TABLE_LIMIT = 4096
-# Terms |S|^2 * F_w * F_h gathered at a time by second_moment_spectral.
-_SPECTRAL_BLOCK = 1 << 18
+# Terms per block of the moment loops (cells, point pairs, |S|^2 terms):
+# small, so that a block's temporaries are reused from the heap; 2 MB
+# ones came fresh from the kernel, at thousands of page faults per call.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _require_coprime(N: int, a: int) -> None:
 def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
                          domain: MomentDomain = MomentDomain.FUNDAMENTAL_SQUARE
                          ) -> MomentReport:
-    """Sum of squared per-cell counts, straight from the bucketed points.
+    """Sum of squared per-cell counts, straight from the enumerated points.
 
     FUNDAMENTAL_SQUARE tiles [0, a)^2 with cell_w x cell_h cells
     (truncated at the right/top edges); points in truncated cells are
@@ -180,9 +183,11 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
     cell_h*a rectangle with a^2 cells over the periodically extended
     solution set; because gcd(cell_w, a) = gcd(cell_h, a) = 1 the cell
     anchors sweep every residue, so the counts are the a^2 wrapped
-    cell_w x cell_h windows over the fundamental solutions, read off one
-    2-D prefix sum of their indicator extended by cell_w - 1 rows and
-    cell_h - 1 columns of wrap; the big rectangle is never materialized.
+    cell_w x cell_h windows over the fundamental solutions.  Their sum
+    of squares is the number of (window, point, point) triples: over
+    ordered pairs of solutions, K_w(dx) * K_h(dy) with _wrap_counts'
+    K, so only the min(a, 2*cell_w - 1) shifts dx with K_w(dx) > 0 are
+    visited, and each point lies in cell_w * cell_h windows.
     """
     _require_coprime(N, a)
     if not (1 <= cell_w <= a and 1 <= cell_h <= a):
@@ -195,47 +200,57 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
     if domain is MomentDomain.FUNDAMENTAL_SQUARE:
         cols = -(-a // cell_w)
         rows = -(-a // cell_h)
-        cids = (ys // cell_h) * cols + xs // cell_w
         # a counter per cell costs O(cells), sorting the cell ids
         # O(phi(a) log phi(a)); they cross near 4 cells per point, and
-        # sorting keeps memory at O(phi(a)) on grids of billions of cells
-        if cols * rows <= 4 * xs.size:
-            counts = np.bincount(cids, minlength=cols * rows)
-        else:
-            counts = np.unique(cids, return_counts=True)[1]
-        edge = 0
-        if cols * cell_w > a:
-            edge_mask = xs >= (cols - 1) * cell_w
-        else:
-            edge_mask = np.zeros(xs.size, dtype=bool)
-        if rows * cell_h > a:
-            edge_mask = edge_mask | (ys >= (rows - 1) * cell_h)
-        edge = int(np.count_nonzero(edge_mask))
-        # the dot product sums the squares without a second counts array
-        return MomentReport(N, a, cell_w, cell_h, domain,
-                            int(counts.sum()), int(counts @ counts),
-                            mean, k0, edge)
+        # sorting keeps memory at O(phi(a)) on grids of billions of cells.
+        # Counters go a band of whole columns (a slice of xs) at a time.
+        dense = cols * rows <= 4 * xs.size
+        band = max(1, _BLOCK // rows) if dense else cols
+        cuts = np.searchsorted(xs, np.arange(0, cols + band, band) * cell_w)
+        sum_squares = 0
+        for c0, lo, hi in zip(range(0, cols, band), cuts, cuts[1:]):
+            cids = (xs[lo:hi] // cell_w - c0) * rows + ys[lo:hi] // cell_h
+            counts = (np.bincount(cids) if dense
+                      else np.unique(cids, return_counts=True)[1])
+            # the dot product sums the squares without a second array
+            sum_squares += int(counts @ counts)
+        # the truncated column and row begin here, or at a if there is none
+        xe = (cols - 1) * cell_w if cols * cell_w > a else a
+        ye = (rows - 1) * cell_h if rows * cell_h > a else a
+        edge = int(np.count_nonzero((xs >= xe) | (ys >= ye)))
+        return MomentReport(N, a, cell_w, cell_h, domain, xs.size,
+                            sum_squares, mean, k0, edge)
 
     if a > _TABLE_LIMIT:
         raise OutOfRangeError(
             f"torus scan limited to a <= {_TABLE_LIMIT}")
     if gcd(cell_w, a) != 1 or gcd(cell_h, a) != 1:
         raise ValueError("torus domain requires gcd(w, a) = gcd(h, a) = 1")
-    # p[1 + i, 1 + j] = indicator at (i mod a, j mod a); row and column 0
-    # stay zero, so after the prefix sums p[i, j] counts [0, i) x [0, j)
-    p = np.zeros((a + cell_w, a + cell_h), dtype=np.int32)
-    p[xs + 1, ys + 1] = 1
-    p[a + 1:, 1:a + 1] = p[1:cell_w, 1:a + 1]
-    p[:, a + 1:] = p[:, 1:cell_h]
-    np.cumsum(p, axis=0, out=p)
-    np.cumsum(p, axis=1, out=p)
-    strips = p[cell_w:] - p[:a]
-    # a window holds at most cell_w points, one per x, so its square fits int32
-    win = strips[:, cell_h:] - strips[:, :a]
+    kw = _wrap_counts(cell_w, a)
+    # yat[x] = y at x mod a for x < 2a, and 2a off the units; kh3 takes
+    # y' - y + a to K_h of the circular difference, and to 0 for 2a - y + a
+    yat = np.full(2 * a, 2 * a, dtype=np.int64)
+    yat[xs] = yat[xs + a] = ys
+    kh = _wrap_counts(cell_h, a)
+    kh3 = np.concatenate((kh, kh, np.zeros(a + 1, dtype=np.int64)))
+    ys_a = ys - a
+    dxs = np.flatnonzero(kw)
+    step = max(1, _BLOCK // xs.size)
+    sum_squares = 0
+    for i in range(0, dxs.size, step):
+        dx = dxs[i:i + step]
+        pairs = kh3[yat[xs + dx[:, None]] - ys_a]
+        sum_squares += int(kw[dx] @ pairs.sum(axis=1))
     return MomentReport(N, a, cell_w, cell_h, domain,
-                        int(win.sum(dtype=np.int64)),
-                        int((win * win).sum(dtype=np.int64)),
+                        xs.size * cell_w * cell_h, sum_squares,
                         mean, k0, 0)
+
+
+def _wrap_counts(span: int, a: int) -> np.ndarray:
+    """K[d], 0 <= d < a: how many of the a wrapped windows [t, t + span)
+    hold both x and x + d, reaching x + d up from x or round past a."""
+    d = np.arange(a, dtype=np.int64)
+    return np.maximum(span - d, 0) + np.maximum(span - (a - d), 0)
 
 
 def _fejer_weights(span: int, a: int) -> np.ndarray:
@@ -264,10 +279,14 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     Agrees with second_moment_direct on FULL_TORUS_Q2 exactly (an identity,
     not an estimate).
 
+    S is real, so |S(m, n)|^2 = |S(-m, -n)|^2, and both weights are even:
+    the term at (a - m, a - k) equals the one at (m, k).  So m runs over
+    m <= a/2 only, at weight 2, or 1 for m = 0 and m = a/2.
+
     |S(-m, -Nk)|^2 = |S(m, Nk)|^2 = row_g[N*u*k mod a] for m = g*u, so the
     sum runs one divisor class of m at a time over the rows of
-    _kloosterman_rows, in blocks of about _SPECTRAL_BLOCK terms, and the
-    a x a table is never formed.
+    _kloosterman_rows, in blocks of about _BLOCK terms, and the a x a
+    table is never formed.
     """
     if not (1 <= cell_w <= a and 1 <= cell_h <= a):
         raise ValueError("cell dimensions out of range")
@@ -280,12 +299,15 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
         raise OutOfRangeError(
             f"spectral sum limited to a <= {_TABLE_LIMIT}")
     fw = _fejer_weights(cell_w, a)
+    fw[1:(a + 1) // 2] *= 2
     fh = _fejer_weights(cell_h, a)
-    k = np.arange(a, dtype=np.int64)
-    step = max(1, _SPECTRAL_BLOCK // a)
+    # products of residues below a <= _TABLE_LIMIT fit int32
+    k = np.arange(a, dtype=np.int32)
+    step = max(1, _BLOCK // a)
     by_k = np.zeros(a)
     for row, ms, us in _kloosterman_rows(a):
-        c = N % a * us % a
+        half = np.searchsorted(ms, a // 2, side="right")
+        ms, c = ms[:half], (N % a * us[:half] % a).astype(np.int32)
         for i in range(0, ms.size, step):
             by_k += fw[ms[i:i + step]] @ row[np.outer(c[i:i + step], k) % a]
     return fsum(by_k * fh) / (a * a)

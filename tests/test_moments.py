@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import numpy as np
 import pytest
 
 from hideseek import moments
+from hideseek._kernels import hyperbola_points
 from hideseek.arith import divisor_count, euler_phi
 from hideseek.factor import OutOfRangeError
 from hideseek.moments import (
@@ -262,7 +264,7 @@ def test_spectral_matches_dense_reference():
 def test_spectral_blocks_cover_every_class(monkeypatch):
     # three residues m per block, so most divisor classes end in a
     # partial block
-    monkeypatch.setattr(moments, "_SPECTRAL_BLOCK", 3 * 360)
+    monkeypatch.setattr(moments, "_BLOCK", 3 * 360)
     rng = random.Random(28)
     for a in (7, 64, 210, 360):
         n, w, h = (_unit_draw(rng, a) for _ in range(3))
@@ -270,17 +272,64 @@ def test_spectral_blocks_cover_every_class(monkeypatch):
             spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
 
 
-def test_torus_prefix_sum_matches_window_count():
+def test_torus_pair_count_matches_window_count():
     rng = random.Random(27)
+    cases = []
     for a in (2, 3, 7, 12, 30, 35, 64):
         n = _unit_draw(rng, a)
         spans = {(1, 1), (1, a - 1), (a - 1, 1), (a - 1, a - 1),
                  (_unit_draw(rng, a), _unit_draw(rng, a))}
-        for w, h in sorted(spans):
-            rep = second_moment_direct(n, a, w, h, MomentDomain.FULL_TORUS_Q2)
-            counts = torus_window_counts(n, a, w, h)
-            assert (rep.sum_counts, rep.sum_squares) == (
-                sum(counts), sum(c * c for c in counts)), (n, a, w, h)
+        cases += [(n, a, w, h) for w, h in sorted(spans)]
+    # a span past a/2 makes both terms of its K(d) positive on the same d
+    for a, lo, hi in ((210, 11, 149), (257, 11, 200), (360, 11, 203)):
+        n = _unit_draw(rng, a)
+        cases += [(n, a, w, h)
+                  for w, h in ((1, a - 1), (a - 1, 1), (lo, hi), (hi, lo))]
+    for n, a, w, h in cases:
+        rep = second_moment_direct(n, a, w, h, MomentDomain.FULL_TORUS_Q2)
+        counts = torus_window_counts(n, a, w, h)
+        assert (rep.sum_counts, rep.sum_squares) == (
+            sum(counts), sum(c * c for c in counts)), (n, a, w, h)
+
+
+def test_spectral_half_plane(monkeypatch):
+    """The sum runs over m <= a/2, with m = 0 and m = a/2 at weight 1:
+    a = 2, odd a = 61 (m = 30 is the last of its class's 30 residues
+    kept) and even a = 62 and 360 (m = a/2 alone in its class), with
+    blocks of 1, 3, 15 and 29 residues, so that the last residue kept
+    ends a block or starts one."""
+    rng = random.Random(29)
+    for step in (1, 3, 15, 29):
+        for a in (2, 61, 62, 360):
+            monkeypatch.setattr(moments, "_BLOCK", step * a)
+            n, w, h = (_unit_draw(rng, a) for _ in range(3))
+            assert second_moment_spectral(n, a, w, h) == pytest.approx(
+                spectral_dense(n, a, w, h), rel=1e-12), (step, n, a, w, h)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_memory_bounds():
+    """The torus pair count holds no a x a array: below 2 MB at a = 4093
+    on cells of side 64.  The fundamental-square count forms no
+    whole-grid cell ids or counters: at a = 2p near 2**20, on cells of
+    side isqrt(a), it peaks within 1.25x the enumeration's own peak."""
+    torus = _traced_peak(lambda: second_moment_direct(
+        12345, 4093, 64, 64, MomentDomain.FULL_TORUS_Q2))
+    assert torus < 2 * 2 ** 20
+    a, n = 2 * 524309, 123457
+    assert euler_phi(a) == 524308
+    points = _traced_peak(lambda: hyperbola_points(n, a))
+    square = _traced_peak(lambda: second_moment_direct(n, a, isqrt(a),
+                                                       isqrt(a)))
+    assert square <= 1.25 * points, (square, points)
 
 
 def test_spectral_rejects_cells_out_of_range():
