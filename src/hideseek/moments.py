@@ -299,6 +299,7 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
         raise OutOfRangeError(
             f"spectral sum limited to a <= {_TABLE_LIMIT}")
     fw = _fejer_weights(cell_w, a)
+    # each 0 < m < a/2 stands for a - m as well
     fw[1:(a + 1) // 2] *= 2
     fh = _fejer_weights(cell_h, a)
     # products of residues below a <= _TABLE_LIMIT fit int32
