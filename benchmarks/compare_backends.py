@@ -35,7 +35,10 @@ near 2**16, 2**18 and 2**20.
 
 The fifth table times the moments suite's two full-torus routines,
 second_moment_direct's pair count and second_moment_spectral, at
-a = 2**10, 2**11 and 4093 on cells of side about a**0.5, and the
+a = 2**10, 2**11, 4093, 2**12, 2**14, the prime 65521, 2**16 and the
+highly composite 65520 = 2**4 * 3**2 * 5 * 7 * 13 (120 divisors; the
+spectral sum's work grows with the divisor count) on cells of side
+about a**0.5, and the
 fundamental-square count at a = 2p near 2**20 on cells of side isqrt(a):
 per call, the time, the minor page faults (the malloc settings left as
 they are) and the tracemalloc peak.
@@ -247,7 +250,8 @@ def bench_moments(repeat):
     workload draws a with phi(a)/a near 1/2."""
     n = 123457
     calls = []
-    for a in (1 << 10, 1 << 11, 4093):
+    for a in (1 << 10, 1 << 11, 4093, 1 << 12, 1 << 14, 65521, 1 << 16,
+              65520):
         s = next(s for s in range(isqrt(a), a) if gcd(s, a) == 1)
         calls.append((f"torus direct a={a:,} side {s}",
                       lambda a=a, s=s: M.second_moment_direct(

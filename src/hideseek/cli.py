@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 no factor found where one was claimed, 2 usage
 or parse failure, 3 internal invariant violation, 4 input outside the
 supported range: a modulus >= 2**31, N >= 2**63 where the hide-seek
 kernels are needed (for `factor`, a composite that trial division up to
-N**(1/3) does not split), a > 4096 for a torus or spectral `moment`, or
+N**(1/3) does not split), a > 2**16 for a torus or spectral `moment`, or
 a `polyfactor` instance whose predicted size exceeds its cap.
 """
 

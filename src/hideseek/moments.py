@@ -21,9 +21,11 @@ runs in double precision; terms have unit modulus, so the accumulated
 error stays far below the 1e-6 tolerances used throughout.
 
 The torus second moment counts pairs of solutions, each weighted by the
-wrapped cells that hold both, and the spectral sum runs over half the
-(m, k) plane.  A deviation scan enumerates the solutions once and
-counts each rectangle on the slice of its x range.
+wrapped cells that hold both.  The spectral sum runs over half the m
+range, and its sum over k is one FFT correlation over the unit group mod
+a/d per divisor d of a.  Both are checked against each other up to
+a = 2**16.  A deviation scan enumerates the solutions once and counts
+each rectangle on the slice of its x range.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arith import euler_phi
+from .arith import euler_phi, prime_factors
 from .factor import OutOfRangeError
 from .rng import SplitMix64
 from .solutions import Rect
@@ -57,10 +59,12 @@ __all__ = [
     "deviation_scan",
 ]
 
-# Full a x a tables, spectral sums and torus scans take O(a^2) work and
-# the tables O(a^2) doubles; keep desk-scale.
+# Full a x a tables take O(a^2) doubles; keep desk-scale.
 _TABLE_LIMIT = 4096
-# Terms per block of the moment loops (cells, point pairs, |S|^2 terms):
+# The full-torus pair: the direct count takes O(phi(a) * cell_w) work,
+# the spectral sum O(tau(a) * a * log a) work and O(tau(a) * a) doubles.
+_TORUS_LIMIT = 1 << 16
+# Terms per block of the direct moment loops (cells, point pairs):
 # small, so that a block's temporaries are reused from the heap; 2 MB
 # ones came fresh from the kernel, at thousands of page faults per call.
 _BLOCK = 1 << 14
@@ -221,9 +225,9 @@ def second_moment_direct(N: int, a: int, cell_w: int, cell_h: int,
         return MomentReport(N, a, cell_w, cell_h, domain, xs.size,
                             sum_squares, mean, k0, edge)
 
-    if a > _TABLE_LIMIT:
+    if a > _TORUS_LIMIT:
         raise OutOfRangeError(
-            f"torus scan limited to a <= {_TABLE_LIMIT}")
+            f"torus scan limited to a <= {_TORUS_LIMIT}")
     if gcd(cell_w, a) != 1 or gcd(cell_h, a) != 1:
         raise ValueError("torus domain requires gcd(w, a) = gcd(h, a) = 1")
     kw = _wrap_counts(cell_w, a)
@@ -270,6 +274,43 @@ def _fejer_weights(span: int, a: int) -> np.ndarray:
     return out
 
 
+def _primitive_root(p: int, e: int) -> int:
+    """A generator of the units mod p**e, p an odd prime: the least
+    primitive root g mod p, or g + p where g**(p-1) == 1 (mod p**2)."""
+    rs = [r for r, _ in prime_factors(p - 1)]
+    g = next(g for g in range(2, p + 1)
+             if all(pow(g, (p - 1) // r, p) != 1 for r in rs))
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _unit_layout(q: int) -> np.ndarray:
+    """The units mod q laid out over the cyclic factors of (Z/q)^x: entry
+    [i_1, ..., i_k] is the product of gen_j**i_j mod q, one axis per
+    generator (one axis of length 1 for q <= 2).  Each odd prime power
+    p**e of q gives a primitive root, 4 gives -1, and 2**e with e >= 3
+    gives -1 and 5; each is lifted to 1 mod the rest of q.  Every unit
+    appears exactly once, and multiplying units adds their indices, each
+    axis cyclic.  Power tables are built by doubling; entries stay below
+    q <= 2**16, so products fit int64."""
+    lay = np.array(1 % q)
+    for p, e in prime_factors(q):
+        pe = p ** e
+        if p > 2:
+            gens = [(_primitive_root(p, e), pe // p * (p - 1))]
+        else:
+            gens = [(pe - 1, 2), (5, pe // 4)][:e - 1]
+        rest = q // pe
+        for g, n in gens:
+            g = (1 + (g - 1) * rest * pow(rest, -1, pe)) % q
+            pw = np.empty(n, dtype=np.int64)
+            pw[0], k = 1, 1
+            while k < n:
+                pw[k:2 * k] = pw[:min(k, n - k)] * g % q
+                g, k = g * g % q, 2 * k
+            lay = lay[..., None] * pw % q
+    return lay.reshape(lay.shape or 1)
+
+
 def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     """Second moment over the full-torus cell family, via Kloosterman sums:
 
@@ -283,10 +324,17 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     the term at (a - m, a - k) equals the one at (m, k).  So m runs over
     m <= a/2 only, at weight 2, or 1 for m = 0 and m = a/2.
 
-    |S(-m, -Nk)|^2 = |S(m, Nk)|^2 = row_g[N*u*k mod a] for m = g*u, so the
-    sum runs one divisor class of m at a time over the rows of
-    _kloosterman_rows, in blocks of about _BLOCK terms, and the a x a
-    table is never formed.
+    |S(-m, -Nk)|^2 = |S(m, Nk)|^2 = row_g[c*k mod a] for m = g*u, with
+    c = N*u and row_g from _kloosterman_rows.  Write k = d*v, d | a and v
+    a unit mod q = a/d (d = a is k = 0): then c*k mod a = d*(c*v mod q),
+    and the sum over k with gcd(k, a) = d is the correlation over the
+    units mod q
+
+        T_{g,d}(c) = sum_v F_h(d*v) * row_g[d*(c*v mod q)],
+
+    one real FFT over _unit_layout(q) for all tau(a) rows at once.  The
+    sum over m gathers T_{g,d} at c mod q.  O(tau(a) * a * log a) time
+    and O(tau(a) * a) memory; the a x a table is never formed.
     """
     if not (1 <= cell_w <= a and 1 <= cell_h <= a):
         raise ValueError("cell dimensions out of range")
@@ -295,23 +343,36 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
         raise ValueError("spectral form requires gcd(w, a) = gcd(h, a) = 1")
     if a < 2:
         raise ValueError("modulus must be >= 2")
-    if a > _TABLE_LIMIT:
+    if a > _TORUS_LIMIT:
         raise OutOfRangeError(
-            f"spectral sum limited to a <= {_TABLE_LIMIT}")
+            f"spectral sum limited to a <= {_TORUS_LIMIT}")
     fw = _fejer_weights(cell_w, a)
     # each 0 < m < a/2 stands for a - m as well
     fw[1:(a + 1) // 2] *= 2
     fh = _fejer_weights(cell_h, a)
-    # products of residues below a <= _TABLE_LIMIT fit int32
-    k = np.arange(a, dtype=np.int32)
-    step = max(1, _BLOCK // a)
-    by_k = np.zeros(a)
-    for row, ms, us in _kloosterman_rows(a):
-        half = np.searchsorted(ms, a // 2, side="right")
-        ms, c = ms[:half], (N % a * us[:half] % a).astype(np.int32)
-        for i in range(0, ms.size, step):
-            by_k += fw[ms[i:i + step]] @ row[np.outer(c[i:i + step], k) % a]
-    return fsum(by_k * fh) / (a * a)
+    divisors = (np.flatnonzero(a % np.arange(1, a + 1) == 0) + 1).tolist()
+    rows = np.empty((len(divisors), a))
+    cls, ms, us = [], [], []
+    for i, (row, m, u) in enumerate(_kloosterman_rows(a)):
+        half = np.searchsorted(m, a // 2, side="right")
+        rows[i] = row
+        cls.append(np.full(half, i))
+        ms.append(m[:half])
+        us.append(u[:half])
+    cls = np.concatenate(cls)
+    wm, c = fw[np.concatenate(ms)], N % a * np.concatenate(us) % a
+    terms = []
+    for d in divisors:
+        q = a // d
+        lay = _unit_layout(q)
+        log = np.empty(q, dtype=np.int64)
+        log[lay.ravel()] = np.arange(lay.size)
+        axes = tuple(range(1, lay.ndim + 1))
+        corr = (np.conj(np.fft.rfftn(fh[d * lay]))
+                * np.fft.rfftn(rows[:, d * lay], axes=axes))
+        t = np.fft.irfftn(corr, s=lay.shape, axes=axes).reshape(len(rows), -1)
+        terms.append(wm @ t[cls, log[c % q]])
+    return fsum(terms) / (a * a)
 
 
 class DeviationTrial(NamedTuple):

@@ -159,6 +159,23 @@ GOLDEN = {
         "expected_mean_cell,k0_term,edge_points,spectral_value\r\n"
         "1,7,3,2,full-torus-q2,36,44,0.7346938775510204,"
         "26.448979591836736,0,44.0\r\n"),
+    "moment 1 5011 --rect 71 71 --spectral": (0,
+        "N=1 a=5011 cells 71x71 (full-torus-q2)\n"
+        "sum_counts = 25255410\n"
+        "sum_squares = 49379388\n"
+        "expected_mean_cell = 1.0057860732730042\n"
+        "k0_term = 25401539.652799763\n"
+        "edge_points = 0\n"
+        "spectral_value = 49379388.0\n",
+        '{"N": 1, "a": 5011, "cell_h": 71, "cell_w": 71, '
+        '"domain": "full-torus-q2", "edge_points": 0, '
+        '"expected_mean_cell": 1.0057860732730042, '
+        '"k0_term": 25401539.652799763, "spectral_value": 49379388.0, '
+        '"sum_counts": 25255410, "sum_squares": 49379388}\n',
+        "N,a,cell_w,cell_h,domain,sum_counts,sum_squares,"
+        "expected_mean_cell,k0_term,edge_points,spectral_value\r\n"
+        "1,5011,71,71,full-torus-q2,25255410,49379388,"
+        "1.0057860732730042,25401539.652799763,0,49379388.0\r\n"),
     "kloosterman 1 1 3": (0,
         "S(1, 1, 3) = -1 (imag residual 3.331e-16)\n",
         '{"a": 3, "imag_residual": 3.3306690738754696e-16, '
@@ -211,9 +228,9 @@ GOLDEN_ERRORS = {
     "polyfactor 7 1000000 9": (4,
         "input outside the supported range: predicted 56453760 points "
         "exceeds cap\n"),
-    "moment 1 4099 --rect 1 1": (4,
+    "moment 1 65537 --rect 1 1": (4,
         "input outside the supported range: torus scan limited to "
-        "a <= 4096\n"),
+        "a <= 65536\n"),
     "kloosterman 1 1 2147483659": (4,
         "input outside the supported range: modulus out of kernel range "
         "[2, 2**31): 2147483659\n"),

@@ -194,9 +194,9 @@ def test_size_limits_are_out_of_range():
     with pytest.raises(OutOfRangeError, match="table limited"):
         kloosterman_abs2_table(4099)
     with pytest.raises(OutOfRangeError, match="torus scan limited"):
-        second_moment_direct(1, 4099, 1, 1, torus)
+        second_moment_direct(1, 65537, 1, 1, torus)
     with pytest.raises(OutOfRangeError, match="spectral sum limited"):
-        second_moment_spectral(1, 4099, 2, 3)
+        second_moment_spectral(1, 65537, 2, 3)
 
 
 def test_second_moment_rejects_common_factor():
@@ -261,15 +261,37 @@ def test_spectral_matches_dense_reference():
                 spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
 
 
-def test_spectral_blocks_cover_every_class(monkeypatch):
-    # three residues m per block, so most divisor classes end in a
-    # partial block
-    monkeypatch.setattr(moments, "_BLOCK", 3 * 360)
+def test_spectral_matches_dense_every_small_modulus():
+    # every a up to 80, and 210 and 360, whose divisor classes of m and
+    # of k (one unit-group correlation per divisor d) are many
     rng = random.Random(28)
-    for a in (7, 64, 210, 360):
-        n, w, h = (_unit_draw(rng, a) for _ in range(3))
+    for a in [*range(2, 81), 210, 360]:
+        for _ in range(3):
+            n, w, h = (_unit_draw(rng, a) for _ in range(3))
+            n += a * rng.randrange(3)
+            assert second_moment_spectral(n, a, w, h) == pytest.approx(
+                spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
+
+
+def test_unit_layout_lists_every_unit():
+    for q in [*range(1, 301), 2 ** 12, 3 ** 7, 2 * 3 ** 5]:
+        lay = moments._unit_layout(q)
+        units = [u for u in range(q) if gcd(u, q) == 1] if q > 1 else [0]
+        assert sorted(lay.ravel().tolist()) == units, q
+        assert lay.size == euler_phi(q)
+
+
+def test_torus_identity_past_4096():
+    """The direct pair count and the spectral sum agree at a >= 2**14: a
+    prime, 2p, a power of 2 and the square-full 2**2 * 3**4 * 7**2."""
+    rng = random.Random(30)
+    for a in (16411, 16418, 2 ** 14, 15876):
+        n = _unit_draw(rng, a)
+        w = coprime_adjust(isqrt(a), a)
+        h = coprime_adjust(isqrt(a) // 2, a)
+        rep = second_moment_direct(n, a, w, h, MomentDomain.FULL_TORUS_Q2)
         assert second_moment_spectral(n, a, w, h) == pytest.approx(
-            spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
+            rep.sum_squares, rel=1e-9), (n, a, w, h)
 
 
 def test_torus_pair_count_matches_window_count():
@@ -292,19 +314,16 @@ def test_torus_pair_count_matches_window_count():
             sum(counts), sum(c * c for c in counts)), (n, a, w, h)
 
 
-def test_spectral_half_plane(monkeypatch):
+def test_spectral_half_plane():
     """The sum runs over m <= a/2, with m = 0 and m = a/2 at weight 1:
     a = 2, odd a = 61 (m = 30 is the last of its class's 30 residues
-    kept) and even a = 62 and 360 (m = a/2 alone in its class), with
-    blocks of 1, 3, 15 and 29 residues, so that the last residue kept
-    ends a block or starts one."""
+    kept) and even a = 62 and 360 (m = a/2 alone in its class)."""
     rng = random.Random(29)
-    for step in (1, 3, 15, 29):
+    for _ in range(4):
         for a in (2, 61, 62, 360):
-            monkeypatch.setattr(moments, "_BLOCK", step * a)
             n, w, h = (_unit_draw(rng, a) for _ in range(3))
             assert second_moment_spectral(n, a, w, h) == pytest.approx(
-                spectral_dense(n, a, w, h), rel=1e-12), (step, n, a, w, h)
+                spectral_dense(n, a, w, h), rel=1e-12), (n, a, w, h)
 
 
 def _traced_peak(fn):
@@ -338,8 +357,8 @@ def test_spectral_rejects_cells_out_of_range():
             second_moment_spectral(1, 7, w, h)
         with pytest.raises(ValueError, match="cell dimensions out of range"):
             second_moment_direct(1, 7, w, h, MomentDomain.FULL_TORUS_Q2)
-    with pytest.raises(ValueError, match="spectral sum limited to a <= 4096"):
-        second_moment_spectral(1, 4099, 2, 3)
+    with pytest.raises(ValueError, match="spectral sum limited to a <= 65536"):
+        second_moment_spectral(1, 65537, 2, 3)
     with pytest.raises(ValueError, match="modulus must be >= 2"):
         second_moment_spectral(1, 1, 1, 1)
 
