@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arith import euler_phi, prime_factors
+from .arith import euler_phi
 from .factor import OutOfRangeError
 from .rng import SplitMix64
 from .solutions import Rect
@@ -274,43 +274,6 @@ def _fejer_weights(span: int, a: int) -> np.ndarray:
     return out
 
 
-def _primitive_root(p: int, e: int) -> int:
-    """A generator of the units mod p**e, p an odd prime: the least
-    primitive root g mod p, or g + p where g**(p-1) == 1 (mod p**2)."""
-    rs = [r for r, _ in prime_factors(p - 1)]
-    g = next(g for g in range(2, p + 1)
-             if all(pow(g, (p - 1) // r, p) != 1 for r in rs))
-    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
-
-
-def _unit_layout(q: int) -> np.ndarray:
-    """The units mod q laid out over the cyclic factors of (Z/q)^x: entry
-    [i_1, ..., i_k] is the product of gen_j**i_j mod q, one axis per
-    generator (one axis of length 1 for q <= 2).  Each odd prime power
-    p**e of q gives a primitive root, 4 gives -1, and 2**e with e >= 3
-    gives -1 and 5; each is lifted to 1 mod the rest of q.  Every unit
-    appears exactly once, and multiplying units adds their indices, each
-    axis cyclic.  Power tables are built by doubling; entries stay below
-    q <= 2**16, so products fit int64."""
-    lay = np.array(1 % q)
-    for p, e in prime_factors(q):
-        pe = p ** e
-        if p > 2:
-            gens = [(_primitive_root(p, e), pe // p * (p - 1))]
-        else:
-            gens = [(pe - 1, 2), (5, pe // 4)][:e - 1]
-        rest = q // pe
-        for g, n in gens:
-            g = (1 + (g - 1) * rest * pow(rest, -1, pe)) % q
-            pw = np.empty(n, dtype=np.int64)
-            pw[0], k = 1, 1
-            while k < n:
-                pw[k:2 * k] = pw[:min(k, n - k)] * g % q
-                g, k = g * g % q, 2 * k
-            lay = lay[..., None] * pw % q
-    return lay.reshape(lay.shape or 1)
-
-
 def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     """Second moment over the full-torus cell family, via Kloosterman sums:
 
@@ -332,9 +295,9 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
 
         T_{g,d}(c) = sum_v F_h(d*v) * row_g[d*(c*v mod q)],
 
-    one real FFT over _unit_layout(q) for all tau(a) rows at once.  The
-    sum over m gathers T_{g,d} at c mod q.  O(tau(a) * a * log a) time
-    and O(tau(a) * a) memory; the a x a table is never formed.
+    one real FFT over _unitgroup.unit_layout(q) for all tau(a) rows at
+    once.  The sum over m gathers T_{g,d} at c mod q.  O(tau(a) * a *
+    log a) time and O(tau(a) * a) memory; the a x a table is never formed.
     """
     if not (1 <= cell_w <= a and 1 <= cell_h <= a):
         raise ValueError("cell dimensions out of range")
@@ -346,6 +309,11 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     if a > _TORUS_LIMIT:
         raise OutOfRangeError(
             f"spectral sum limited to a <= {_TORUS_LIMIT}")
+    # imported on first use: compiled with this module at `import
+    # hideseek` (no cached bytecode), it left glibc's heap so that
+    # strip-mode factoring mmapped its temporaries on every call
+    from ._unitgroup import unit_layout
+
     fw = _fejer_weights(cell_w, a)
     # each 0 < m < a/2 stands for a - m as well
     fw[1:(a + 1) // 2] *= 2
@@ -364,7 +332,7 @@ def second_moment_spectral(N: int, a: int, cell_w: int, cell_h: int) -> float:
     terms = []
     for d in divisors:
         q = a // d
-        lay = _unit_layout(q)
+        lay = unit_layout(q)
         log = np.empty(q, dtype=np.int64)
         log[lay.ravel()] = np.arange(lay.size)
         axes = tuple(range(1, lay.ndim + 1))

@@ -7,6 +7,7 @@ import pytest
 
 from hideseek import moments
 from hideseek._kernels import hyperbola_points
+from hideseek._unitgroup import unit_layout
 from hideseek.arith import divisor_count, euler_phi
 from hideseek.factor import OutOfRangeError
 from hideseek.moments import (
@@ -275,7 +276,7 @@ def test_spectral_matches_dense_every_small_modulus():
 
 def test_unit_layout_lists_every_unit():
     for q in [*range(1, 301), 2 ** 12, 3 ** 7, 2 * 3 ** 5]:
-        lay = moments._unit_layout(q)
+        lay = unit_layout(q)
         units = [u for u in range(q) if gcd(u, q) == 1] if q > 1 else [0]
         assert sorted(lay.ravel().tolist()) == units, q
         assert lay.size == euler_phi(q)
