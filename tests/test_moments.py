@@ -5,7 +5,6 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from hideseek import moments
 from hideseek._kernels import hyperbola_points
 from hideseek._unitgroup import unit_layout
 from hideseek.arith import divisor_count, euler_phi
