@@ -295,6 +295,60 @@ def test_strip_mode_counter_goldens(monkeypatch, chunk):
         assert (st.w, st.points, st.pairs) == (w, *counts[chunk]), n
 
 
+# (variant, N, split | None | OutOfRangeError, FactorStats fields in full
+# mode; strip mode appends "-strip" to a method that was set)
+VARIANT_EDGES = [
+    (hide_seek_balanced, 1, None, ("", 0, 0, 0, 0, 0)),
+    (hide_seek_general, 1, None, ("", 0, 0, 0, 0, 0)),
+    # a = 2 < 3
+    (hide_seek_balanced, 4, None, ("", 0, 0, 0, 0, 0)),
+    (hide_seek_general, 4, None, ("", 0, 0, 0, 0, 0)),
+    # a = 3: balanced names its one cell shape before the gcd shortcut,
+    # general names none
+    (hide_seek_balanced, 10, (2, 5), ("balanced", 3, 2, 2, 0, 0)),
+    (hide_seek_general, 10, (2, 5), ("general", 3, 0, 0, 0, 0)),
+    # gcd shortcut through a: 7 | 1260 resp. 1001 | 1001
+    (hide_seek_balanced, 1000000001, (7, 142857143),
+     ("balanced", 1260, 36, 36, 0, 0)),
+    (hide_seek_general, 1000000001, (1001, 999001),
+     ("general", 1001, 0, 0, 0, 0)),
+    # gcd shortcut through a - 1: 1259 | 1259 resp. 37 | 999
+    (hide_seek_balanced, 998320273, (1259, 792947),
+     ("balanced", 1260, 36, 36, 0, 0)),
+    (hide_seek_general, 998320273, (37, 26981629),
+     ("general", 1000, 0, 0, 0, 0)),
+    (hide_seek_balanced, 31607 * 40009, (31607, 40009),
+     ("balanced", 1363, 37, 37, 1740, 3894)),
+    (hide_seek_general, 31607 * 40009, (31607, 40009),
+     ("general", 1082, 16, 67, 6208, 24198)),
+    # a prime: general tries every width w = 2, ..., 512 <= a = 1001
+    (hide_seek_balanced, 1000000007, None,
+     ("balanced", 1260, 36, 36, 1546, 2424)),
+    (hide_seek_general, 1000000007, None,
+     ("general", 1001, 512, 1, 10080, 31512)),
+    (hide_seek_balanced, (1 << 63) + 1, OutOfRangeError, ("", 0, 0, 0, 0, 0)),
+    (hide_seek_general, (1 << 63) + 1, OutOfRangeError, ("", 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_variant_edges(strip):
+    """Both variants' exits, gcd shortcuts, a split and a prime: the
+    result and every FactorStats field a caller can read."""
+    for variant, n, want, (method, *counts) in VARIANT_EDGES:
+        st = FactorStats()
+        if want is OutOfRangeError:
+            with pytest.raises(OutOfRangeError):
+                variant(n, strip_mode=strip, stats=st)
+        else:
+            got = variant(n, strip_mode=strip, stats=st)
+            assert got == (want and Factorization(n, *want)), (variant, n)
+        if strip and method:
+            method += "-strip"
+        assert (st.method, st.a, st.w, st.h, st.points, st.pairs) == (
+            method, *counts), (variant, n)
+
+
 def test_trial_division_examples():
     assert trial_division(77, 10) == Factorization(77, 7, 11)
     assert trial_division(101, 10) is None
