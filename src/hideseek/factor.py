@@ -10,13 +10,15 @@ split in O(a^(1+eps)) work.
 
 Two variants: the balanced factorer assumes U < V < 2U and uses square
 cells of side ceil(sqrt(a)) with a = ceil_cbrt(2N); the general variant
-uses w-by-h rectangles, doubling w until the planted pair fits.  Both
-modes scan each width through one driver, _kernels._scan_windows, which
-leaves its base points unbucketed and buckets only the shifted ones.
-Full mode runs it over one window of the whole grid, by
-_kernels.hyperbola_scan, on both whole solution sets
-(_kernels._point_sets); they do not depend on w, so the general variant
-enumerates them once per N, and the scan expands from the smaller set.
+uses w-by-h rectangles, doubling w until the planted pair fits.  Each is
+a list of cell shapes for one loop, _hide_seek, which owns the exits, the
+gcd shortcut and the counters.  Both modes scan each shape through one
+driver, _kernels._scan_windows, which leaves its base points unbucketed
+and buckets only the shifted ones.  Full mode runs it over one window of
+the whole grid, by _kernels.hyperbola_scan, on both whole solution sets
+(_kernels._point_sets); they do not depend on the cell shape, so both
+variants enumerate them once per N, and the scan expands from the
+smaller set.
 Strip mode runs it over windows of whole grid columns, from the set mod
 a, enumerating each window's points as it goes, so it holds about
 _kernels._SCAN_CHUNK points of each set at once instead of all phi(a) +
@@ -27,6 +29,7 @@ modes scan them as one row of height a (_kernels._grid).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -54,8 +57,6 @@ __all__ = [
 # Below this, plain trial division is used outright; sidesteps degenerate
 # small-a geometry without complicating the main path.
 N_MIN = 10**6
-
-_KERNEL_LIMIT = 1 << 63
 
 
 class InvariantError(RuntimeError):
@@ -89,8 +90,8 @@ class Unit:
 class FactorStats:
     """Work counters the hide-seek operations add to; points and pairs sum
     over the widths tried and the solution arrays each width scans, so
-    full mode counts phi(a) + phi(a-1) per width although the general
-    variant enumerates both sets once.  In strip mode points counts work
+    full mode counts phi(a) + phi(a-1) per width although it enumerates
+    both sets once per call.  In strip mode points counts work
     done: once a width needs more than one column window, each window
     counts the bk + 4 shifted columns it enumerates, so points exceeds
     full mode's while pairs and the split stay equal."""
@@ -116,39 +117,17 @@ def _gcd_shortcut(N: int, a: int) -> Factorization | None:
     return Factorization(N, u, v)
 
 
-def _ceil_sqrt(a: int) -> int:
-    return isqrt(a - 1) + 1 if a > 1 else 1
-
-
-def _check_range(N: int) -> None:
-    if N >= _KERNEL_LIMIT:
-        raise OutOfRangeError("hide-seek kernels require N < 2**63")
-
-
 def hide_seek_balanced(N: int, strip_mode: bool = False,
                        stats: FactorStats | None = None
                        ) -> Factorization | None:
     """Factor N assuming some split U < V < 2U exists.
 
-    Sets a = ceil_cbrt(2N) so that u1, v1 < sqrt(a), buckets both
-    solution sets into cells of side ceil(sqrt(a)), and checks all
-    neighbor pairs (radius 1).  Returns None when no pair verifies,
-    e.g. when the premise fails.
+    Sets a = ceil_cbrt(2N) so that u1, v1 < sqrt(a), and scans one cell
+    shape, squares of side ceil(sqrt(a)), at radius 1.  Returns None when
+    no pair verifies, e.g. when the premise fails.
     """
-    if N < 2:
-        return None
-    _check_range(N)
-    a = ceil_cbrt(2 * N)
-    if a < 3:
-        return None
-    b = _ceil_sqrt(a)
-    if stats is not None:
-        stats.method = "balanced-strip" if strip_mode else "balanced"
-        stats.a, stats.w, stats.h = a, b, b
-    short = _gcd_shortcut(N, a)
-    if short is not None:
-        return short
-    return _scan(N, a, b, b, 1, strip_mode, stats)
+    return _hide_seek(N, strip_mode, stats, "balanced", cube=2 * N, dyc=1,
+                      shapes_of=lambda a: [(isqrt(a - 1) + 1,) * 2])
 
 
 def hide_seek_general(N: int, strip_mode: bool = False,
@@ -160,51 +139,59 @@ def hide_seek_general(N: int, strip_mode: bool = False,
     and heights h = max(1, a // w); once w exceeds u1 the planted pair is
     at most one cell apart horizontally and two vertically, hence the
     (1, 2) scan radii.  Returns None only after the final width.
-    Full mode enumerates both solution sets once, by _point_sets, and
-    scans each width with one hyperbola_scan over them; strip mode
-    enumerates per window, every width anew.
     It needs a split with U > N / a**2, so that V < a**2 has two base-a
     digits; `factor` trial-divides up to ceil_cbrt(N) first, which removes
     every N without one.
     """
+    return _hide_seek(N, strip_mode, stats, "general", cube=N, dyc=2,
+                      shapes_of=lambda a: [
+                          (1 << k, max(1, a >> k))
+                          for k in range(1, a.bit_length())])
+
+
+def _hide_seek(N: int, strip_mode: bool, stats: FactorStats | None,
+               method: str, cube: int, dyc: int,
+               shapes_of: Callable[[int], list[tuple[int, int]]]
+               ) -> Factorization | None:
+    """The loop of both variants, with a = ceil_cbrt(cube).  After the
+    exits (N < 2, N >= 2**63, a < 3) and the gcd shortcut, it scans the
+    cell shapes (w, h) of shapes_of(a) in order at radii (1, dyc) until
+    one verifies; stats shows the shape scanned last.  The balanced
+    variant's one shape is fixed by a, so stats shows it from before the
+    shortcut on.  Full mode enumerates both solution sets once, by
+    _point_sets, and scans each shape with one hyperbola_scan over them;
+    strip mode enumerates per window, every shape anew (_strip_scan)."""
     if N < 2:
         return None
-    _check_range(N)
-    a = ceil_cbrt(N)
+    if N >= 1 << 63:
+        raise OutOfRangeError("hide-seek kernels require N < 2**63")
+    a = ceil_cbrt(cube)
     if a < 3:
         return None
+    shapes = shapes_of(a)
     if stats is not None:
-        stats.method = "general-strip" if strip_mode else "general"
+        stats.method = method + "-strip" if strip_mode else method
         stats.a = a
+        if method == "balanced":
+            stats.w, stats.h = shapes[0]
     short = _gcd_shortcut(N, a)
     if short is not None:
         return short
     sets = None if strip_mode else _kernels._point_sets(N, a, a - 1)
-    w = 2
-    while w <= a:
-        h = max(1, a // w)
+    for w, h in shapes:
         if stats is not None:
             stats.w, stats.h = w, h
-        got = _scan(N, a, w, h, 2, strip_mode, stats, sets)
-        if got is not None:
-            return got
-        w *= 2
+        if strip_mode:
+            u, v, points, pairs = _strip_scan(N, a, w, h, dyc)
+        else:
+            u, v, points, pairs = _kernels.hyperbola_scan(
+                N, a, a - 1, w, h, 1, dyc, sets=sets)
+        if stats is not None:
+            stats.points += points
+            stats.pairs += pairs
+        if u:
+            return Factorization(N, u, v)
     return None
-
-
-def _scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int,
-          strip_mode: bool, stats: FactorStats | None,
-          sets: tuple | None = None) -> Factorization | None:
-    """One width's scan: _strip_scan, or hyperbola_scan on sets if given."""
-    if strip_mode:
-        u, v, points, pairs = _strip_scan(N, a, cell_w, cell_h, dyc)
-    else:
-        u, v, points, pairs = _kernels.hyperbola_scan(
-            N, a, a - 1, cell_w, cell_h, 1, dyc, sets=sets)
-    if stats is not None:
-        stats.points += points
-        stats.pairs += pairs
-    return Factorization(N, u, v) if u else None
 
 
 def _strip_scan(N: int, a: int, cell_w: int, cell_h: int, dyc: int
